@@ -13,7 +13,7 @@ import pytest
 from repro.bench import client_for, render_table
 from repro.core import LazyDiagnosis
 from repro.corpus import bug
-from repro.runtime import SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxServer
 
 BUG = "memcached-127"
 COUNTS = (0, 1, 3, 10)
@@ -25,7 +25,9 @@ def sweep():
     module = spec.module()
     client = client_for(spec, tracing=True)
     failing = client.find_runs(True, 1)[0]
-    server = SnorlaxServer(module, success_traces_wanted=max(COUNTS))
+    server = SnorlaxServer(
+        module, policy=CollectionPolicy(success_traces_wanted=max(COUNTS))
+    )
     failing_sample = server.sample_from_run("failure", failing)
     successes = server.collect_successful_traces(
         client, failing.failure.failing_uid, 10_000

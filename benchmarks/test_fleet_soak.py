@@ -44,7 +44,7 @@ from repro.fleet import (
 from repro.fleet.shard import signature_for_failure
 from repro.ir import parse_module
 from repro.provenance import EvidenceGraph, report_key
-from repro.runtime import SnorlaxClient, SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
 from tests.runtime.test_client_server import SRC, _workload
 
@@ -196,7 +196,8 @@ def test_anomaly_digest_matches_on_demand(soak):
     digest = soak["digests"].get(soak["signature"])
     assert digest is not None, soak["digests"]
     in_process = SnorlaxServer(
-        soak["module"], success_traces_wanted=SUCCESS_TRACES
+        soak["module"],
+        policy=CollectionPolicy(success_traces_wanted=SUCCESS_TRACES),
     ).diagnose(soak["failing"], SnorlaxClient(soak["module"], _workload)).report
     assert digest == report_digest(in_process)
 

@@ -188,17 +188,6 @@ class DiagnosisResult:
         return self.report.render()
 
 
-def _resolve_caches(caches):
-    """``caches`` may be a DiagnosisCaches, an (analysis, traces) pair,
-    or None — the server passes its two independent cache fields."""
-    if caches is None:
-        return None, None
-    if isinstance(caches, tuple):
-        analysis_cache, trace_cache = caches
-        return analysis_cache, trace_cache
-    return caches.analysis, caches.traces
-
-
 def diagnose(
     module: Module,
     failure: FailureReport | None = None,
@@ -220,8 +209,7 @@ def diagnose(
     :class:`FailureReport` (the normal case — snapshots arrive with the
     report attached); pass it explicitly to diagnose raw evidence.
     ``config`` overrides ``scope``/``algorithm`` wholesale when given.
-    ``caches`` is a :class:`~repro.core.cache.DiagnosisCaches` (or an
-    ``(analysis, traces)`` pair); ``obs`` an
+    ``caches`` is a :class:`~repro.core.cache.DiagnosisCaches`; ``obs`` an
     :class:`~repro.obs.Observability` bundle, ``None`` for off.
 
     ``validate=True`` closes the loop: the diagnosed order is compiled
@@ -240,12 +228,11 @@ def diagnose(
     effective = config or PipelineConfig(
         scope_restriction=scope, algorithm=algorithm
     )
-    analysis_cache, trace_cache = _resolve_caches(caches)
     pipeline = LazyDiagnosis(
         module,
         effective,
-        analysis_cache=analysis_cache,
-        trace_cache=trace_cache,
+        analysis_cache=caches.analysis if caches else None,
+        trace_cache=caches.traces if caches else None,
         obs=obs,
     )
     report = pipeline.diagnose(failing, successes)

@@ -672,17 +672,18 @@ def run_jobs(case: CheckCase) -> None:
 def run_collect(case: CheckCase) -> None:
     """Evidence equivalence across every trace-collection transport.
 
-    The pipelining contract: serial, thread-parallel, and batched
-    (round-tripped through the wire codec, like a real fleet frame)
-    collection must produce byte-identical evidence, and the adaptive
-    stopping rule must be a pure function of the sample prefix — the
-    serial and batched adaptive runs must agree with each other too.
+    The pipelining contract: in-process serial collection, a window of
+    one over a batch transport, and the derived batch window (both
+    round-tripped through the wire codec, like a real fleet frame) must
+    produce byte-identical evidence, and the adaptive stopping rule must
+    be a pure function of the sample prefix — the serial and batched
+    adaptive runs must agree with each other too.
     """
     from repro import api
     from repro.fleet.server import report_digest
     from repro.fleet.wire import decode_frame, encode_frame
     from repro.runtime.client import SnorlaxClient
-    from repro.runtime.server import SnorlaxServer
+    from repro.runtime.server import CollectionPolicy, SnorlaxServer
 
     rng = _rng(case)
     p = case.params
@@ -705,9 +706,9 @@ def run_collect(case: CheckCase) -> None:
     def make_server(**kw) -> SnorlaxServer:
         return SnorlaxServer(
             module,
-            success_traces_wanted=wanted,
-            max_collection_attempts=300,
-            **kw,
+            policy=CollectionPolicy(
+                success_traces_wanted=wanted, max_collection_attempts=300, **kw
+            ),
         )
 
     def batch_transport(server: SnorlaxServer):
@@ -736,9 +737,16 @@ def run_collect(case: CheckCase) -> None:
     serial = make_server()
     base_samples = serial.collect_successful_traces(client, uid, start_seed)
     families = [("serial", serial, base_samples)]
-    par = make_server(collection_parallelism=3)
+    single = make_server()
+    one_at_a_time = batch_transport(single)
     families.append(
-        ("parallel", par, par.collect_successful_traces(client, uid, start_seed))
+        (
+            "window-1-wire",
+            single,
+            single.collect_traces_via(
+                lambda req: one_at_a_time([req])[0], uid, start_seed
+            ),
+        )
     )
     batched = make_server()
     families.append(
@@ -816,7 +824,7 @@ def run_e2e(case: CheckCase) -> None:
     from repro.fleet.server import report_digest
     from repro.fleet.wire import decode_value, encode_value, sample_from_dict, sample_to_dict
     from repro.runtime.client import SnorlaxClient
-    from repro.runtime.server import SnorlaxServer
+    from repro.runtime.server import CollectionPolicy, SnorlaxServer
 
     rng = _rng(case)
     p = case.params
@@ -834,8 +842,10 @@ def run_e2e(case: CheckCase) -> None:
         raise CaseSkipped(f"no failing run in {p.get('seed_scan', 25)} seeds")
     server = SnorlaxServer(
         module,
-        success_traces_wanted=max(1, p.get("successes", 4)),
-        max_collection_attempts=300,
+        policy=CollectionPolicy(
+            success_traces_wanted=max(1, p.get("successes", 4)),
+            max_collection_attempts=300,
+        ),
     )
     failing_sample = server.sample_from_run("failure", failing_run)
     successes = server.collect_successful_traces(
@@ -960,7 +970,7 @@ def run_validate(case: CheckCase) -> None:
     """
     from repro import api
     from repro.runtime.client import SnorlaxClient
-    from repro.runtime.server import SnorlaxServer
+    from repro.runtime.server import CollectionPolicy, SnorlaxServer
     from repro.validate.engine import validate_order, validate_report
     from repro.validate.synthesizer import TargetOrder
 
@@ -1000,8 +1010,10 @@ def run_validate(case: CheckCase) -> None:
     # loop is broken on one side or the other.
     server = SnorlaxServer(
         module,
-        success_traces_wanted=max(1, p.get("successes", 6)),
-        max_collection_attempts=300,
+        policy=CollectionPolicy(
+            success_traces_wanted=max(1, p.get("successes", 6)),
+            max_collection_attempts=300,
+        ),
     )
     failing_sample = server.sample_from_run("failure", failing_run)
     successes = server.collect_successful_traces(
@@ -1049,7 +1061,7 @@ def run_monitor(case: CheckCase) -> None:
     from repro.fleet.shard import signature_for_failure
     from repro.provenance import EvidenceGraph, report_key
     from repro.runtime.client import SnorlaxClient
-    from repro.runtime.server import SnorlaxServer
+    from repro.runtime.server import CollectionPolicy, SnorlaxServer
 
     rng = _rng(case)
     p = case.params
@@ -1112,7 +1124,7 @@ def run_monitor(case: CheckCase) -> None:
                 f"produced no diagnosis for {signature}",
             )
         in_process = SnorlaxServer(
-            module, success_traces_wanted=successes
+            module, policy=CollectionPolicy(success_traces_wanted=successes)
         ).diagnose(failing_run, client).report
         invariants.check_digest_match(
             report_digest(in_process), anomaly_digest, "monitor-anomaly"

@@ -30,7 +30,7 @@ def _verify_digests(result, metrics, config) -> list[str]:
     """
     from repro.corpus import bug as corpus_bug
     from repro.fleet.server import report_digest
-    from repro.runtime import SnorlaxClient, SnorlaxServer
+    from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
     mismatches: list[str] = []
     for signature, digest in sorted(result.digests.items()):
@@ -42,10 +42,12 @@ def _verify_digests(result, metrics, config) -> list[str]:
         failing = client.find_runs(True, 1)[0]
         server = SnorlaxServer(
             spec.module(),
-            success_traces_wanted=config.success_traces_wanted,
-            stopping=config.stopping,
-            stability_window=config.stability_window,
-            adaptive_min_traces=config.adaptive_min_traces,
+            policy=CollectionPolicy(
+                success_traces_wanted=config.success_traces_wanted,
+                stopping=config.stopping,
+                stability_window=config.stability_window,
+                adaptive_min_traces=config.adaptive_min_traces,
+            ),
         )
         report = server.diagnose(failing, client).report
         if config.validate:
@@ -98,26 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-cache",
         action="store_true",
         help="disable the analysis/trace caches (ablation)",
-    )
-    parser.add_argument(
-        "--collect-parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="speculate N trace-collection requests concurrently per diagnosis",
-    )
-    parser.add_argument(
-        "--no-batch-collect",
-        action="store_true",
-        help="send trace-collection waves one request per frame instead "
-        "of batched frames (the pre-pipelining wire behavior)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=int,
-        default=8,
-        metavar="N",
-        help="max batched trace requests per agent per round",
     )
     parser.add_argument(
         "--adaptive-traces",
@@ -290,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         max_pending=args.max_pending,
         success_traces_wanted=args.traces,
         cache_enabled=not args.no_cache,
-        collection_parallelism=args.collect_parallel,
-        collection_batching=not args.no_batch_collect,
-        collection_batch_window=args.batch_window,
         stopping="stable-top" if args.adaptive_traces else "fixed",
         stability_window=args.stability_window,
         validate=args.validate,

@@ -8,9 +8,10 @@ two things, both over a single TCP connection to the fleet server:
   failing trace sample, then wait for the fleet-wide diagnosis (serving
   trace requests in the meantime — the reporting endpoint is as good a
   source of successful traces as any other).
-* **Answer trace requests** (step 8): execute the requested seed with
-  the requested breakpoints/skip and return the snapshot, exactly what
-  ``SnorlaxServer.handle_trace_request`` does in-process.
+* **Answer trace batches** (step 8): execute each requested seed with
+  the requested breakpoints/skip and return the snapshots — the same
+  :func:`~repro.runtime.server.run_trace_request` that
+  ``SnorlaxServer.handle_trace_request`` runs in-process.
 
 Agents are deliberately synchronous (blocking socket, one thread each):
 a real endpoint is a separate machine, and the simulation runs ≥50 of
@@ -52,8 +53,8 @@ from repro.fleet.wire import (
 )
 from repro.ir.module import Module
 from repro.runtime.client import ClientRun, SnorlaxClient, Workload
-from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
-from repro.runtime.server import sample_from_run
+from repro.runtime.protocol import FailureNotification
+from repro.runtime.server import run_trace_request, sample_from_run
 
 _POLL_S = 0.1  # socket timeout used to poll stop events
 _RECOVERABLE = (ConnectionError, WireError, OSError)
@@ -200,32 +201,13 @@ class FleetAgent:
                 if frame is None:
                     continue
                 msg, request_id = frame
-                if isinstance(msg, TraceRequest):
-                    self._serve_trace_request(msg, request_id)
-                elif isinstance(msg, TraceBatchRequest):
+                if isinstance(msg, TraceBatchRequest):
                     self._serve_trace_batch(msg, request_id)
                 # anything else while idle (late results for a signature
                 # we also reported) is informational; drop it
             except _RECOVERABLE:
                 if not self._reconnect(stop):
                     return
-
-    def _run_trace_request(self, request: TraceRequest) -> TraceResponse:
-        run = self.client.run_once(
-            request.seed,
-            breakpoint_uids=request.breakpoint_uids,
-            breakpoint_skip=request.breakpoint_skip,
-        )
-        sample = None
-        if run.snapshot is not None:
-            sample = sample_from_run(request.label, run)
-        self.trace_requests_served += 1
-        return TraceResponse(
-            label=request.label, outcome=run.result.outcome, sample=sample
-        )
-
-    def _serve_trace_request(self, request: TraceRequest, request_id: int) -> None:
-        self._send(self._run_trace_request(request), request_id)
 
     def _serve_trace_batch(self, batch: TraceBatchRequest, request_id: int) -> None:
         """Run a whole speculative wave chunk and answer with one frame.
@@ -234,7 +216,8 @@ class FleetAgent:
         production machine); the fan-out parallelism lives on the server
         side, which shards the wave across many agents.
         """
-        responses = tuple(self._run_trace_request(r) for r in batch.requests)
+        responses = tuple(run_trace_request(self.client, r) for r in batch.requests)
+        self.trace_requests_served += len(responses)
         self._send(TraceBatchResponse(responses=responses), request_id)
 
     def _recv_poll(self, timeout: float | None = None):
@@ -296,10 +279,8 @@ class FleetAgent:
                 if frame is None:
                     continue
                 msg, request_id = frame
-                if isinstance(msg, TraceRequest):
+                if isinstance(msg, TraceBatchRequest):
                     # the reporting endpoint still serves step-8 collection
-                    self._serve_trace_request(msg, request_id)
-                elif isinstance(msg, TraceBatchRequest):
                     self._serve_trace_batch(msg, request_id)
                 elif isinstance(msg, DiagnosisResult):
                     return msg
@@ -442,10 +423,7 @@ class MonitorLoop:
             if frame is None:
                 return
             msg, request_id = frame
-            if isinstance(msg, TraceRequest):
-                self.agent._serve_trace_request(msg, request_id)
-                self.trace_requests_served += 1
-            elif isinstance(msg, TraceBatchRequest):
+            if isinstance(msg, TraceBatchRequest):
                 self.agent._serve_trace_batch(msg, request_id)
                 self.trace_requests_served += len(msg.requests)
             # DiagnosisResult / WireFault while monitoring are

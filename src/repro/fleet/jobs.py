@@ -118,7 +118,7 @@ class DiagnosisJobQueue:
         wait = perf_counter() - submitted if submitted is not None else 0.0
         self.metrics.observe("queue_wait", wait)
         # the job's root span lives on the worker thread; everything the
-        # diagnosis does below (fleet_diagnose, collection, pipeline
+        # diagnosis does below (diagnosis_job, collection, pipeline
         # stages) nests under it via the thread-local span stack
         with self.tracer.span("fleet_job", signature=signature) as span:
             self.tracer.record("job_queue_wait", wait, parent=span)

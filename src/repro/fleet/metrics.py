@@ -39,7 +39,8 @@ Resilience counter vocabulary (all zero on a polite network):
 * ``result_delivery_failures`` — finished diagnoses that could not be
   written back to a reporter (it vanished before delivery);
 * ``degraded_collections`` — diagnoses that ran with fewer successful
-  traces than wanted because the collection deadline expired;
+  traces than wanted because collection gave up (deadline or attempt
+  cap), recorded by the diagnosis session in and out of the fleet;
 * ``jobs_failed`` — diagnosis jobs that raised (evicted for retry);
 * ``server_restarts`` — injected/administrative full restarts;
 * ``agents_evicted_stale`` — connections evicted by the liveness

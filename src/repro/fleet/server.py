@@ -3,11 +3,11 @@
 This is Figure 2's deployment model made concrete: an asyncio TCP
 server accepts connections from endpoint agents, receives
 ``FailureEnvelope``s (step 1), and — per failure signature — runs the
-existing single-machine ``SnorlaxServer`` collection policy with the
-network as its transport: every ``TraceRequest`` of
-``collect_traces_via`` becomes a frame to an idle endpoint running the
-same program (step 8), and the CPU-bound ``LazyDiagnosis`` runs on the
-bounded worker pool of :mod:`repro.fleet.jobs`.
+existing single-machine ``SnorlaxServer`` diagnosis session with the
+network as its transport: every speculative wave of step-8 trace
+requests is striped across the endpoints running the same program, one
+batch frame per endpoint, and the CPU-bound ``LazyDiagnosis`` runs on
+the bounded worker pool of :mod:`repro.fleet.jobs`.
 
 Because trace collection is deterministic in (seed, breakpoints, skip)
 and endpoint executions are deterministic in the seed, the fleet's
@@ -32,13 +32,11 @@ import threading
 from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-from repro.core.cache import (
-    CollectedEvidence,
-    CollectedEvidenceCache,
-    DiagnosisCaches,
-)
+from repro.api import SchedulerPolicy
+from repro.core.cache import DiagnosisCaches
 from repro.core.pipeline import PipelineConfig
 from repro.core.report import DiagnosisReport
 from repro.errors import FleetError, WireError
@@ -60,11 +58,15 @@ from repro.fleet.wire import (
     read_frame_async,
 )
 from repro.ir.module import Module
-from repro.obs import MetricsHTTPServer, Observability, render_flight_recorder
+from repro.obs import MetricsHTTPServer, Observability
 from repro.obs.tracer import NULL_TRACER
 from repro.provenance import EvidenceGraph, build_evidence_graph, report_key
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
-from repro.runtime.server import SnorlaxServer
+from repro.runtime.server import CollectionPolicy, SnorlaxServer
+
+# cap on trace requests per endpoint per round of a wave: keeps one slow
+# endpoint from hoarding a whole wave, and bounds its reply budget
+AGENT_BATCH_LIMIT = 8
 
 
 def failure_signature(env: FailureEnvelope) -> str:
@@ -202,9 +204,6 @@ class FleetServer:
         request_timeout: float = 120.0,
         caches: DiagnosisCaches | None = None,
         enable_caches: bool = True,
-        collection_parallelism: int = 1,
-        collection_batching: bool = True,
-        collection_batch_window: int = 8,
         stopping: str = "fixed",
         stability_window: int = 3,
         adaptive_min_traces: int = 4,
@@ -230,39 +229,29 @@ class FleetServer:
         self.host = host
         self.port = port
         self.config = config or PipelineConfig()
-        self.success_traces_wanted = success_traces_wanted
         self.start_seed = start_seed
-        # request_timeout bounds one trace request end to end (all
+        # request_timeout bounds one speculative wave end to end (all
         # reroutes included); trace_reply_timeout bounds one endpoint's
-        # answer before the request is rerouted to another endpoint
+        # answer per request before its chunk is rerouted elsewhere
         self.request_timeout = request_timeout
         self.trace_reply_timeout = trace_reply_timeout
         self.reroute_backoff_base_s = reroute_backoff_base_s
         self.reroute_backoff_cap_s = reroute_backoff_cap_s
-        # graceful degradation: when set, stop collecting at the deadline
-        # and diagnose with what arrived (>= min_success_traces)
-        self.collection_deadline_s = collection_deadline_s
-        self.min_success_traces = min_success_traces
         # bound a started frame's payload: a corrupted length field must
         # sever the connection, not wedge its reader forever
         self.frame_timeout = frame_timeout
-        self.collection_parallelism = collection_parallelism
-        # batched collection ships whole speculative waves, one frame per
-        # agent chunk, instead of one round-trip per execution; the
-        # evidence consumed is byte-identical to the serial loop's
-        self.collection_batching = collection_batching
-        # cap on requests per agent per wave (keeps one slow endpoint
-        # from hoarding a whole wave, and bounds the reply budget)
-        self.collection_batch_window = max(1, collection_batch_window)
-        # adaptive stopping config, forwarded to the per-job SnorlaxServer
-        self.stopping = stopping
-        self.stability_window = stability_window
-        self.adaptive_min_traces = adaptive_min_traces
-        # the scheduler policy endpoints collect under; part of the
-        # collection policy, so the evidence cache must key on it
-        from repro.api import SchedulerPolicy
-
-        self.collection_policy = collection_policy or SchedulerPolicy()
+        # the step-8 policy every per-job SnorlaxServer runs, and the
+        # evidence cache keys on; ``collection_policy`` is the scheduler
+        # endpoints collect under
+        self.policy = CollectionPolicy(
+            success_traces_wanted=success_traces_wanted,
+            stopping=stopping,
+            stability_window=stability_window,
+            adaptive_min_traces=adaptive_min_traces,
+            min_success_traces=min_success_traces,
+            deadline_s=collection_deadline_s,
+            scheduler=collection_policy or SchedulerPolicy(),
+        )
         # post-report validation: replay the diagnosed order (forced +
         # inverse) and stamp the report validated/refuted
         self.validate = validate
@@ -537,18 +526,6 @@ class FleetServer:
                 elif isinstance(msg, FailureEnvelope):
                     conn.last_seen = self._now()
                     await self._on_failure(conn, msg, request_id)
-                elif isinstance(msg, TraceResponse):
-                    conn.last_seen = self._now()
-                    future = conn.pending.pop(request_id, None)
-                    if future is not None and not future.done():
-                        self.metrics.inc("trace_responses_received")
-                        future.set_result(msg)
-                    else:
-                        # the request timed out and was rerouted; the
-                        # late answer is dropped (the rerouted run is
-                        # deterministic in the seed, so no evidence
-                        # differs)
-                        self.metrics.inc("orphan_trace_responses")
                 elif isinstance(msg, TraceBatchResponse):
                     conn.last_seen = self._now()
                     future = conn.pending.pop(request_id, None)
@@ -558,6 +535,10 @@ class FleetServer:
                         )
                         future.set_result(msg)
                     else:
+                        # the chunk timed out and was rerouted; the late
+                        # answer is dropped (the rerouted runs are
+                        # deterministic in the seed, so no evidence
+                        # differs)
                         self.metrics.inc("orphan_trace_responses")
                 elif isinstance(msg, Goodbye):
                     break
@@ -919,28 +900,6 @@ class FleetServer:
                 self._modules[bug_id] = module
             return module
 
-    def _evidence_key(self, module: Module, env: FailureEnvelope) -> str:
-        """Evidence memoization key: everything the collected samples are
-        deterministic in — including the endpoints' scheduler config
-        (policy class + preemption granularity), since a different
-        quantum interleaves the very same seeds differently."""
-        return CollectedEvidenceCache.key_for(
-            module,
-            env.bug_id,
-            env.seed,
-            env.notification.failing_uid,
-            self.start_seed,
-            (
-                self.success_traces_wanted,
-                self.stopping,
-                self.stability_window,
-                self.adaptive_min_traces,
-                self.min_success_traces,
-                self.collection_deadline_s,
-                self.collection_policy.cache_key(),
-            ),
-        )
-
     def _validate_report(
         self, env: FailureEnvelope, module: Module, report: DiagnosisReport
     ) -> None:
@@ -978,123 +937,41 @@ class FleetServer:
             self.metrics.inc("validations_inconclusive")
 
     def _diagnose(self, env: FailureEnvelope) -> DiagnosisReport:
-        """Replicates SnorlaxServer.diagnose with the network as
-        the step-8 transport: same policy, same seeds, same evidence.
+        """One failure signature's diagnosis: the shared
+        ``SnorlaxServer`` session with the fleet as the step-8 batch
+        transport — same policy, same seeds, same evidence — plus the
+        fleet-only steps: validation, the provenance graph, and store
+        write-through.
 
-        Degrades gracefully when endpoints are scarce: a transport
-        failure becomes an empty response (the attempt is consumed, the
-        next seed is tried), and once the collection deadline passes the
-        diagnosis runs with however many successful traces arrived —
-        flagged as degraded rather than failing outright."""
+        Degrades gracefully when endpoints are scarce: a request no
+        endpoint answers becomes an empty response (the attempt is
+        consumed, the next seed is tried), and once the collection
+        deadline passes the diagnosis runs with however many successful
+        traces arrived — flagged as degraded rather than failing."""
         module = self._module(env.bug_id)
-        obs = self.obs
         snorlax = SnorlaxServer(
             module,
             config=self.config,
-            success_traces_wanted=self.success_traces_wanted,
-            collection_parallelism=self.collection_parallelism,
-            stopping=self.stopping,
-            stability_window=self.stability_window,
-            adaptive_min_traces=self.adaptive_min_traces,
-            analysis_cache=self.caches.analysis if self.caches else None,
-            trace_cache=self.caches.traces if self.caches else None,
-            collection_deadline_s=self.collection_deadline_s,
-            min_success_traces=self.min_success_traces,
-            obs=obs,
+            policy=self.policy,
+            caches=self.caches,
+            obs=self.obs,
         )
-        snorlax.stats.failing_traces += 1
-
-        def transport(req: TraceRequest) -> TraceResponse:
-            try:
-                return self._remote_request(env.bug_id, req)
-            except FleetError:
-                self.metrics.inc("trace_requests_failed")
-                return TraceResponse(
-                    label=req.label, outcome="unreachable", sample=None
-                )
-
-        batch_transport = None
-        if self.collection_batching:
-
-            def batch_transport(requests):
-                return self._remote_batch(env.bug_id, requests)
-
-        # evidence memoization: collection is deterministic in (module,
-        # failing seed, policy), so a failure recurring across the fleet
-        # replays the stored samples instead of re-executing remotely
-        evidence_key = None
-        cached_evidence = None
-        if self.caches is not None:
-            evidence_key = self._evidence_key(module, env)
-            cached_evidence = self.caches.evidence.get(evidence_key)
-
-        with obs.tracer.span(
-            "fleet_diagnose",
-            bug_id=env.bug_id,
-            signature=failure_signature(env),
-        ) as root:
-            with self.metrics.timer("collection_latency"):
-                if cached_evidence is not None:
-                    self.metrics.inc("evidence_cache_hits")
-                    successes = list(cached_evidence.samples)
-                    degraded = False
-                    root.set(evidence_cache="hit")
-                else:
-                    if evidence_key is not None:
-                        self.metrics.inc("evidence_cache_misses")
-                    successes = snorlax.collect_traces_via(
-                        transport,
-                        env.notification.failing_uid,
-                        self.start_seed,
-                        send_batch=batch_transport,
-                        failing_sample=env.sample,
-                    )
-                    # adaptive stopping satisfied early is sufficiency,
-                    # not degradation; degraded means collection gave up
-                    state = snorlax.last_collection
-                    degraded = (
-                        not state.satisfied
-                        if state is not None
-                        else len(successes) < self.success_traces_wanted
-                    )
-                    if evidence_key is not None and not degraded:
-                        self.caches.evidence.put(
-                            evidence_key,
-                            CollectedEvidence(
-                                samples=tuple(successes),
-                                attempts=(
-                                    state.attempts
-                                    if state is not None
-                                    else len(successes)
-                                ),
-                            ),
-                        )
-            self.metrics.inc("traces_collected", len(successes))
-            if degraded:
-                self.metrics.inc("degraded_collections")
-            with self.metrics.timer("analysis_latency"):
-                # the pipeline records its own stage timers and cache
-                # events into obs.registry (this server's metrics)
-                result = snorlax.diagnose_samples([env.sample], successes)
-            report = result.report
-            if degraded:
-                report.degraded = True
-                report.notes.append(
-                    f"degraded collection: diagnosed from {len(successes)}/"
-                    f"{self.success_traces_wanted} successful traces"
-                )
-            if self.validate:
-                self._validate_report(env, module, report)
-            root.set(collected=len(successes), degraded=degraded)
-        if obs.enabled:
-            # the whole fleet-side job: collection round-trips included
-            report.flight_recorder = render_flight_recorder(obs.tracer, root)
+        session = snorlax.run_session(
+            env.sample,
+            env.notification.failing_uid,
+            self.start_seed,
+            send_batch=lambda requests: self._remote_batch(env.bug_id, requests),
+            source=(env.bug_id, env.seed),
+            finish=partial(self._validate_report, env, module)
+            if self.validate
+            else None,
+        )
+        report = session.report
         # provenance: the report's evidence graph, content-addressed down
         # to the raw PT buffer hashes; span ids annotate (never identify)
         # so cached replays digest identically to this cold run
-        spans = obs.tracer.subtree(root) if obs.enabled else ()
         graph = build_evidence_graph(
-            report_digest(report), [env.sample], successes, spans
+            report_digest(report), [env.sample], session.successes, session.spans
         )
         with self._evidence_lock:
             self._evidence[graph.report_key] = graph
@@ -1104,77 +981,6 @@ class FleetServer:
         self.metrics.inc("diagnoses_completed")
         return report
 
-    def _remote_request(self, bug_id: str, request: TraceRequest) -> TraceResponse:
-        """Bridge a worker thread's TraceRequest onto the event loop.
-
-        A timeout here cancels the loop-side coroutine (its ``finally``
-        cleans the pending map) instead of leaking a forever-running
-        request against a hung endpoint."""
-        if self._loop is None:
-            raise FleetError("fleet server is not running")
-        future = asyncio.run_coroutine_threadsafe(
-            self._remote_request_async(bug_id, request), self._loop
-        )
-        try:
-            # grace so the loop-side wall clock (same budget) fires first
-            return future.result(timeout=self.request_timeout + 5.0)
-        except FuturesTimeoutError:
-            future.cancel()
-            self.metrics.inc("trace_requests_abandoned")
-            raise FleetError(
-                f"trace request to {bug_id!r} abandoned after "
-                f"{self.request_timeout:.0f}s"
-            ) from None
-
-    async def _remote_request_async(
-        self, bug_id: str, request: TraceRequest
-    ) -> TraceResponse:
-        """Send to the next idle-ish endpoint of this program; an agent
-        dying mid-request, answering garbage, or hanging just reroutes
-        the (deterministic) run to another endpoint.
-
-        Bounded by wall clock (``request_timeout``) rather than a fixed
-        attempt count, with capped exponential backoff between reroute
-        attempts so a fleet-wide outage is polled, not busy-spun."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.request_timeout
-        failures = 0
-        while True:
-            conn = self._pick_agent(bug_id)
-            if conn is None:
-                if not await self._reroute_pause(deadline, failures):
-                    break
-                failures += 1
-                continue
-            request_id = next(self._req_ids)
-            response_future: asyncio.Future = loop.create_future()
-            conn.pending[request_id] = response_future
-            try:
-                conn.writer.write(encode_frame(request, request_id))
-                await conn.writer.drain()
-                self.metrics.inc("trace_requests_sent")
-                reply_budget = min(
-                    self.trace_reply_timeout, max(0.0, deadline - loop.time())
-                )
-                return await asyncio.wait_for(response_future, reply_budget)
-            except asyncio.TimeoutError:
-                self.metrics.inc("trace_request_timeouts")
-                failures += 1
-            except (FleetError, ConnectionError, OSError):
-                self.metrics.inc("trace_request_reroutes")
-                failures += 1
-            finally:
-                # on success the handler already popped it; on timeout,
-                # reroute, or cancellation from _remote_request this is
-                # what keeps conn.pending from leaking futures
-                conn.pending.pop(request_id, None)
-            if not await self._reroute_pause(deadline, failures):
-                break
-        raise FleetError(
-            f"no endpoint for {bug_id!r} answered a trace request within "
-            f"{self.request_timeout:.0f}s"
-        )
-
     def _remote_batch(
         self, bug_id: str, requests: list[TraceRequest]
     ) -> list[TraceResponse]:
@@ -1182,9 +988,7 @@ class FleetServer:
 
         Always returns positional responses: an item no endpoint answered
         within the budget comes back as ``outcome="unreachable"`` with no
-        sample, which the collection policy consumes as a miss — exactly
-        the per-request transport's failure semantics, so batched and
-        serial collection degrade identically."""
+        sample, which the collection policy consumes as a miss."""
         if self._loop is None:
             raise FleetError("fleet server is not running")
         future = asyncio.run_coroutine_threadsafe(
@@ -1206,7 +1010,7 @@ class FleetServer:
         """Fan one speculative wave across every live endpoint at once.
 
         The wave is striped over the live agents (at most
-        ``collection_batch_window`` requests per agent per round), each
+        ``AGENT_BATCH_LIMIT`` requests per agent per round), each
         chunk ships as a single :class:`TraceBatchRequest` frame, and the
         chunk sends/replies run concurrently under ``asyncio.gather`` —
         one round-trip depth per wave instead of one per execution.  A
@@ -1227,23 +1031,20 @@ class FleetServer:
                 if not await self._reroute_pause(deadline, failures):
                     break
                 continue
-            # rotate like _pick_agent so reruns don't pin to the list
+            # rotate round-robin so reruns don't pin to the list
             # head, and push endpoints whose last chunk went unanswered
             # to the back — a hung-but-connected agent must not swallow
             # a narrow rerun round over and over
             start = next(self._rr[bug_id]) % len(agents)
             agents = agents[start:] + agents[:start]
             agents.sort(key=lambda c: id(c) in suspect)
-            take = min(len(pending), self.collection_batch_window * len(agents))
+            take = min(len(pending), AGENT_BATCH_LIMIT * len(agents))
             assign = pending[:take]
             # fill frames before fanning wider: a small wave rides one
             # endpoint as a single full frame instead of 1-request
             # frames sprayed across the whole fleet (same responses
             # either way — the stripe only changes who runs what)
-            fanout = min(
-                len(agents),
-                -(-take // self.collection_batch_window),
-            )
+            fanout = min(len(agents), -(-take // AGENT_BATCH_LIMIT))
             chunks = [
                 (agents[j], assign[j::fanout])
                 for j in range(fanout)
@@ -1332,15 +1133,3 @@ class FleetServer:
             return False
         await asyncio.sleep(delay)
         return True
-
-    def _pick_agent(self, bug_id: str) -> AgentConn | None:
-        conns = [c for c in self._agents.get(bug_id, []) if c.alive]
-        if not conns:
-            return None
-        # round-robin, preferring endpoints with no request in flight
-        start = next(self._rr[bug_id]) % len(conns)
-        rotated = conns[start:] + conns[:start]
-        for conn in rotated:
-            if not conn.pending:
-                return conn
-        return rotated[0]

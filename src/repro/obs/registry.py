@@ -93,20 +93,17 @@ class MetricsRegistry:
                 key = prefix + name
                 self._counters[key] = self._counters.get(key, 0) + amount
 
-    def absorb_solver_stats(self, stats) -> None:
-        """Fold a :class:`~repro.core.andersen.SolverStats` (or any stats
-        object exposing ``as_counters()``) into the unified vocabulary."""
+    def absorb_stats(self, stats) -> None:
+        """Fold a stats object exposing ``as_counters()`` — a
+        :class:`~repro.core.andersen.SolverStats` (``solver_*``) or a
+        :class:`~repro.check.runner.CheckStats` (``check_*``) — into the
+        unified vocabulary; objects without it are skipped."""
         as_counters = getattr(stats, "as_counters", None)
         if as_counters is not None:
             self.merge_counters(as_counters())
 
-    def absorb_check_stats(self, stats) -> None:
-        """Fold a :class:`~repro.check.runner.CheckStats` into the
-        unified ``check_*`` counter vocabulary — a self-check run is
-        scraped/exported exactly like a fleet run."""
-        as_counters = getattr(stats, "as_counters", None)
-        if as_counters is not None:
-            self.merge_counters(as_counters())
+    absorb_solver_stats = absorb_stats
+    absorb_check_stats = absorb_stats
 
     def absorb_cache_stats(self, name: str, stats) -> None:
         """Snapshot one cache's :class:`~repro.core.cache.CacheStats`

@@ -4,9 +4,12 @@ from repro.runtime.client import ClientRun, SnorlaxClient, Workload
 from repro.runtime.errortracker import FailureCode, classify
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
 from repro.runtime.server import (
+    CollectionPolicy,
+    DiagnosisSession,
     ServerStats,
     SnorlaxServer,
     TraceTransport,
+    run_trace_request,
     sample_from_run,
 )
 
@@ -19,8 +22,11 @@ __all__ = [
     "FailureNotification",
     "TraceRequest",
     "TraceResponse",
+    "CollectionPolicy",
+    "DiagnosisSession",
     "ServerStats",
     "SnorlaxServer",
     "TraceTransport",
+    "run_trace_request",
     "sample_from_run",
 ]

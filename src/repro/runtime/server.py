@@ -10,15 +10,19 @@ gathered it runs Lazy Diagnosis (steps 2-7) and returns the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from time import monotonic, perf_counter
 from typing import Callable
 
-from repro.core.cache import AnalysisCache, DecodedTraceCache
+from repro import api
+from repro.api import DiagnosisResult, SchedulerPolicy
+from repro.core.cache import CollectedEvidence, CollectedEvidenceCache, DiagnosisCaches
 from repro.core.pipeline import LazyDiagnosis, PipelineConfig, TraceSample
+from repro.core.report import DiagnosisReport
 from repro.errors import DiagnosisError
 from repro.ir.cfg import predecessor_chain
 from repro.ir.module import Module
-from repro.obs import Observability, render_flight_recorder, resolve_obs
+from repro.obs import Observability, Span, render_flight_recorder, resolve_obs
 from repro.runtime.client import ClientRun, SnorlaxClient
 from repro.runtime.protocol import TraceRequest, TraceResponse
 
@@ -44,6 +48,67 @@ def sample_from_run(label: str, run: ClientRun) -> TraceSample:
     )
 
 
+def run_trace_request(client: SnorlaxClient, request: TraceRequest) -> TraceResponse:
+    """Execute one step-8 request on a client: run the seed with the
+    breakpoint armed and answer with the snapshot it captured (none
+    when the breakpoint never fired)."""
+    run = client.run_once(
+        request.seed,
+        breakpoint_uids=request.breakpoint_uids,
+        breakpoint_skip=request.breakpoint_skip,
+    )
+    sample = None
+    if run.snapshot is not None:
+        sample = sample_from_run(request.label, run)
+    return TraceResponse(
+        label=request.label, outcome=run.result.outcome, sample=sample
+    )
+
+
+@dataclass(frozen=True)
+class CollectionPolicy:
+    """Step 8's policy, frozen.
+
+    Collection gathers ``success_traces_wanted`` successful traces and
+    gives up after ``max_collection_attempts`` executions.
+    ``stopping="stable-top"`` stops early once the top-ranked pattern is
+    unchanged across ``stability_window`` consecutive samples
+    (``adaptive_min_traces`` is the floor, ``success_traces_wanted``
+    stays the cap).  Graceful degradation: with ``deadline_s`` set,
+    collection stops that many wall-clock seconds after it starts, as
+    soon as ``min_success_traces`` have arrived, and the diagnosis runs
+    on the evidence gathered — flagged as degraded.  ``scheduler`` is
+    how the endpoints schedule the executions they trace.
+
+    :meth:`cache_key` is derived from every field, so evidence collected
+    under one policy is never replayed under another that differs in
+    any field — a new field cannot be left out of the key.
+    """
+
+    success_traces_wanted: int = 10
+    max_collection_attempts: int = 2000
+    stopping: str = "fixed"
+    stability_window: int = 3
+    adaptive_min_traces: int = 4
+    min_success_traces: int = 1
+    deadline_s: float | None = None
+    scheduler: SchedulerPolicy = field(default_factory=SchedulerPolicy)
+
+    def __post_init__(self) -> None:
+        if self.stopping not in ("fixed", "stable-top"):
+            raise ValueError(
+                f"unknown stopping mode {self.stopping!r} "
+                "(expected 'fixed' or 'stable-top')"
+            )
+
+    def cache_key(self) -> tuple:
+        """Every field's value, nested policies by their own key."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            v.cache_key() if hasattr(v, "cache_key") else v for v in values
+        )
+
+
 @dataclass
 class ServerStats:
     failing_traces: int = 0
@@ -52,20 +117,37 @@ class ServerStats:
     breakpoint_fallbacks: int = 0
 
 
-class _CollectionState:
-    """The serial collection policy, factored out of the transport loop.
+@dataclass(frozen=True)
+class DiagnosisSession:
+    """One finished diagnosis job: the result plus how its step-8
+    evidence was obtained."""
 
-    Every collection mode — serial, thread-parallel, batched — shares
-    this one object: :meth:`speculate` derives request parameters from
-    the attempt index and current breakpoint set alone, and
-    :meth:`consume` applies responses in attempt order.  When consuming
-    changes the policy state (breakpoint widening fired, or enough
-    samples arrived) it returns True and the caller discards the rest of
-    its speculated wave *without* counting those attempts — the next
-    wave re-speculates the same attempt indices against the new state.
-    That is the whole evidence-equivalence argument: any transport that
-    consumes in attempt order and discards on state change gathers
-    byte-identical samples.
+    result: DiagnosisResult
+    successes: tuple[TraceSample, ...]
+    attempts: int  # executions consumed (the stored count on a replay)
+    # collection gave up (attempt cap or deadline) before the policy was
+    # satisfied; adaptive stopping satisfied early is not degraded
+    degraded: bool
+    evidence_hit: bool  # the successes were replayed from the evidence cache
+    spans: tuple[Span, ...] = ()  # the whole job's span subtree, when traced
+
+    @property
+    def report(self) -> DiagnosisReport:
+        return self.result.report
+
+
+class _CollectionState:
+    """The collection policy, factored out of the transport loop.
+
+    :meth:`speculate` derives request parameters from the attempt index
+    and current breakpoint set alone, and :meth:`consume` applies
+    responses in attempt order.  When consuming changes the policy state
+    (breakpoint widening fired, or enough samples arrived) it returns
+    True and the loop discards the rest of its speculated wave *without*
+    counting those attempts — the next wave re-speculates the same
+    attempt indices against the new state.  That is the whole
+    evidence-equivalence argument: any window size consumed in attempt
+    order, discarding on state change, gathers byte-identical samples.
     """
 
     def __init__(
@@ -76,6 +158,7 @@ class _CollectionState:
         stop_rule=None,
     ):
         self.server = server
+        self.policy = server.policy
         self.failing_uid = failing_uid
         self.start_seed = start_seed
         self.samples: list[TraceSample] = []
@@ -85,7 +168,8 @@ class _CollectionState:
         self.widened_to = 0
         self.stop_rule = stop_rule
         self.on_sample: Callable[[TraceSample], None] | None = None
-        self.deadline = server._collection_deadline()
+        deadline_s = self.policy.deadline_s
+        self.deadline = None if deadline_s is None else monotonic() + deadline_s
 
     def speculate(self, i: int) -> TraceRequest:
         """The request for attempt index (attempts + i) — a pure function
@@ -110,15 +194,25 @@ class _CollectionState:
     def satisfied(self) -> bool:
         if self.stop_rule is not None and self.stop_rule.satisfied:
             return True
-        return len(self.samples) >= self.server.success_traces_wanted
+        return len(self.samples) >= self.policy.success_traces_wanted
 
     @property
     def done(self) -> bool:
         return (
             self.satisfied
-            or self.attempts >= self.server.max_collection_attempts
-            or self.server._deadline_hit(self.deadline, self.samples)
+            or self.attempts >= self.policy.max_collection_attempts
+            or self._deadline_hit()
         )
+
+    def _deadline_hit(self) -> bool:
+        """Degrade once the deadline passes — but never below the
+        minimum evidence the pipeline needs (keep trying for that)."""
+        if (
+            self.deadline is None
+            or len(self.samples) < self.policy.min_success_traces
+        ):
+            return False
+        return monotonic() > self.deadline
 
     def consume(self, request: TraceRequest, resp: TraceResponse) -> bool:
         """Apply one response; True when the rest of the wave is stale."""
@@ -156,12 +250,12 @@ class _CollectionState:
 class _StreamingDecoder:
     """Starts decoding each sample the moment it is consumed.
 
-    Decoding goes through the shared content-keyed ``trace_cache``, so
-    this is pure cache warming: by the time the pipeline's
-    trace-processing stage asks for the same (buffer, tid, period) it is
-    a hit, and decode wall-clock overlapped collection round-trips
-    instead of following them.  Evidence is untouched — a decode error
-    here is swallowed so the pipeline surfaces it with full context.
+    Decoding goes through the shared content-keyed trace cache, so this
+    is pure cache warming: by the time the pipeline's trace-processing
+    stage asks for the same (buffer, tid, period) it is a hit, and
+    decode wall-clock overlapped collection round-trips instead of
+    following them.  Evidence is untouched — a decode error here is
+    swallowed so the pipeline surfaces it with full context.
     """
 
     def __init__(self, server: "SnorlaxServer", registry):
@@ -169,22 +263,17 @@ class _StreamingDecoder:
 
         self._server = server
         self._registry = registry
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, server.collection_parallelism),
-            thread_name_prefix="decode",
-        )
+        self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="decode")
 
     def submit(self, sample: TraceSample) -> None:
         self._pool.submit(self._decode, sample)
 
     def _decode(self, sample: TraceSample) -> None:
-        from time import perf_counter
-
         server = self._server
         started = perf_counter()
         try:
             for tid, data in sample.buffers.items():
-                server.trace_cache.get_or_decode(
+                server.caches.traces.get_or_decode(
                     server.module, data, tid, server.config.mtc_period_ns
                 )
         except Exception:
@@ -214,11 +303,12 @@ class _TopPatternEvaluator:
 
     def __call__(self, successes: list[TraceSample]):
         server = self._server
+        caches = server.caches
         pipeline = LazyDiagnosis(
             server.module,
             server.config,
-            analysis_cache=server.analysis_cache,
-            trace_cache=server.trace_cache,
+            analysis_cache=caches.analysis if caches else None,
+            trace_cache=caches.traces if caches else None,
             obs=None,
         )
         try:
@@ -234,91 +324,118 @@ class _TopPatternEvaluator:
 class SnorlaxServer:
     module: Module
     config: PipelineConfig = field(default_factory=PipelineConfig)
-    success_traces_wanted: int = 10
-    max_collection_attempts: int = 2000
-    # graceful degradation: when set, collection stops at the deadline
-    # (wall-clock seconds from its start) as soon as min_success_traces
-    # have arrived, and the diagnosis runs on the evidence gathered —
-    # what a fleet does when endpoints are scarce or the network is bad
-    collection_deadline_s: float | None = None
-    min_success_traces: int = 1
-    # >1 speculates trace requests concurrently (the evidence gathered is
-    # byte-identical to serial collection — see _collect_parallel)
-    collection_parallelism: int = 1
-    # "fixed" collects success_traces_wanted samples; "stable-top" stops
-    # early once the top-ranked pattern is unchanged across
-    # stability_window consecutive samples (success_traces_wanted stays
-    # as the cap, adaptive_min_traces as the floor)
-    stopping: str = "fixed"
-    stability_window: int = 3
-    adaptive_min_traces: int = 4
-    # shared caches: repeat diagnoses skip decoding / points-to
-    analysis_cache: AnalysisCache | None = None
-    trace_cache: DecodedTraceCache | None = None
+    policy: CollectionPolicy = field(default_factory=CollectionPolicy)
+    # shared across diagnoses: repeat diagnoses skip decoding and
+    # points-to, and sessions that name their evidence source replay
+    # memoized step-8 evidence
+    caches: DiagnosisCaches | None = None
     stats: ServerStats = field(default_factory=ServerStats)
     # observability context every diagnosis this server runs records into
     obs: Observability | None = None
-    last_pipeline: LazyDiagnosis | None = field(default=None, repr=False)
-    # the most recent collection's policy state: callers (the fleet)
-    # distinguish "stopped because the evidence sufficed" from "ran out
-    # of attempts/deadline" via last_collection.satisfied
-    last_collection: _CollectionState | None = field(default=None, repr=False)
 
     def diagnose(
         self, failing_run: ClientRun, client: SnorlaxClient, start_seed: int = 10_000
-    ):
+    ) -> DiagnosisResult:
         """The full server-side flow for one in-production failure:
         collect step-8 evidence, run the pipeline, return the bundled
         :class:`repro.api.DiagnosisResult`."""
         if failing_run.failure is None or failing_run.snapshot is None:
             raise DiagnosisError("failing run carries no failure/snapshot")
+        self.stats.failing_traces += 1
+        return self.run_session(
+            self.sample_from_run("failure", failing_run),
+            failing_run.failure.failing_uid,
+            start_seed,
+            send=lambda req: self.handle_trace_request(client, req),
+        ).result
+
+    def run_session(
+        self,
+        failing_sample: TraceSample,
+        failing_uid: int,
+        start_seed: int,
+        send: TraceTransport | None = None,
+        send_batch: BatchTraceTransport | None = None,
+        *,
+        source: tuple[str, int] | None = None,
+        finish: Callable[[DiagnosisReport], None] | None = None,
+    ) -> DiagnosisSession:
+        """One diagnosis job, in process or over a fleet: collect step-8
+        evidence through the transport (see :meth:`collect_traces_via`),
+        run the pipeline, stamp evidence cut short as degraded, and widen
+        the flight recorder to the whole ``diagnosis_job`` span.
+
+        ``source`` — (workload id, failing seed) — names where the
+        failure came from.  With ``caches`` set, a satisfied collection
+        is memoized under it plus :meth:`CollectionPolicy.cache_key`
+        (collection is deterministic in both), so a recurring failure
+        replays its evidence instead of re-executing.  ``finish`` runs on
+        the report inside the job span, before the flight recorder is
+        rendered (the fleet validates there).  Collection counters and
+        latency timers record into the observability registry.
+        """
         obs = resolve_obs(self.obs)
-        with obs.tracer.span(
-            "diagnosis_job", failing_uid=failing_run.failure.failing_uid
-        ) as job:
-            failing_sample = self.sample_from_run("failure", failing_run)
-            self.stats.failing_traces += 1
-            successes = self.collect_successful_traces(
-                client,
-                failing_run.failure.failing_uid,
-                start_seed,
-                failing_sample=failing_sample,
+        registry = obs.registry
+        key = cached = None
+        if self.caches is not None and source is not None:
+            key = CollectedEvidenceCache.key_for(
+                self.module, *source, failing_uid, start_seed,
+                self.policy.cache_key(),
             )
-            result = self.diagnose_samples([failing_sample], successes)
+            cached = self.caches.evidence.get(key)
+        with obs.tracer.span("diagnosis_job", failing_uid=failing_uid) as job:
+            with registry.timer("collection_latency"):
+                if cached is not None:
+                    registry.inc("evidence_cache_hits")
+                    job.set(evidence_cache="hit")
+                    successes = list(cached.samples)
+                    attempts, degraded = cached.attempts, False
+                else:
+                    if key is not None:
+                        registry.inc("evidence_cache_misses")
+                    state = self._collect(
+                        send, send_batch, failing_uid, start_seed, failing_sample
+                    )
+                    successes, attempts = state.samples, state.attempts
+                    degraded = not state.satisfied
+                    if key is not None and not degraded:
+                        self.caches.evidence.put(
+                            key, CollectedEvidence(tuple(successes), attempts)
+                        )
+            registry.inc("traces_collected", len(successes))
+            if degraded:
+                registry.inc("degraded_collections")
+            with registry.timer("analysis_latency"):
+                result = self.diagnose_samples([failing_sample], successes)
+            report = result.report
+            if degraded:
+                report.degraded = True
+                report.notes.append(
+                    f"degraded collection: diagnosed from {len(successes)}/"
+                    f"{self.policy.success_traces_wanted} successful traces"
+                )
+            if finish is not None:
+                finish(report)
+            job.set(collected=len(successes), degraded=degraded)
+        spans: tuple[Span, ...] = ()
         if obs.enabled:
-            # widen the flight recorder from the pipeline subtree to the
-            # whole job: collection round-trips included
-            result.report.flight_recorder = render_flight_recorder(
-                obs.tracer, job
-            )
-        return result
+            report.flight_recorder = render_flight_recorder(obs.tracer, job)
+            spans = tuple(obs.tracer.subtree(job))
+        return DiagnosisSession(
+            result, tuple(successes), attempts, degraded, cached is not None, spans
+        )
 
-    def diagnose_samples(self, failing: list[TraceSample], successes: list[TraceSample]):
-        """Diagnose already-collected evidence through :mod:`repro.api`
-        (the fleet server hands traces collected over the network)."""
-        from repro import api
-
-        result = api.diagnose(
+    def diagnose_samples(
+        self, failing: list[TraceSample], successes: list[TraceSample]
+    ) -> DiagnosisResult:
+        """Diagnose already-collected evidence through :mod:`repro.api`."""
+        return api.diagnose(
             self.module,
             traces=[*failing, *successes],
             config=self.config,
-            caches=(self.analysis_cache, self.trace_cache),
+            caches=self.caches,
             obs=self.obs,
         )
-        self.last_pipeline = result.pipeline
-        return result
-
-    def make_pipeline(self) -> LazyDiagnosis:
-        """A pipeline bound to this server's config and shared caches."""
-        pipeline = LazyDiagnosis(
-            self.module,
-            self.config,
-            analysis_cache=self.analysis_cache,
-            trace_cache=self.trace_cache,
-            obs=self.obs,
-        )
-        self.last_pipeline = pipeline
-        return pipeline
 
     def collect_successful_traces(
         self,
@@ -337,7 +454,7 @@ class SnorlaxServer:
 
     def collect_traces_via(
         self,
-        send: TraceTransport,
+        send: TraceTransport | None,
         failing_uid: int,
         start_seed: int,
         send_batch: BatchTraceTransport | None = None,
@@ -349,22 +466,21 @@ class SnorlaxServer:
         widens the breakpoint to predecessor blocks, nearest first.
 
         ``send`` delivers one :class:`TraceRequest` to a client and
-        returns its :class:`TraceResponse` — the in-process call for the
-        single-machine runtime, a network round-trip for ``repro.fleet``.
-        Collection is deterministic in (seed, breakpoints, skip), so the
-        transport — and which endpoint serves each request — never
-        changes the evidence gathered.
+        returns its :class:`TraceResponse`; ``send_batch``, when given,
+        delivers a whole speculative wave in one call (the fleet fans it
+        across every live agent) and replaces ``send``.  Collection is
+        deterministic in (seed, breakpoints, skip), so the transport —
+        and which endpoint serves each request — never changes the
+        evidence gathered.
 
-        Three pipelined layers, all evidence-invisible:
+        One loop serves both transports: each wave's responses are
+        consumed in attempt order through the :class:`_CollectionState`
+        policy.  A single-request transport runs waves of one (no
+        speculative executions); a batch transport speculates the
+        derived :meth:`_batch_window`.  Two more layers, both
+        evidence-invisible:
 
-        * ``send_batch`` delivers a whole speculative wave in one call
-          (the fleet fans it across every live agent) and takes priority
-          over per-request parallelism; ``collection_parallelism > 1``
-          overlaps individual round-trips on a thread pool instead.
-          Both consume responses in attempt order through the one
-          :class:`_CollectionState` policy, so the samples gathered are
-          byte-identical to the serial loop's.
-        * when ``trace_cache`` is set, every sample starts decoding the
+        * when ``caches`` is set, every sample starts decoding the
           moment its response is consumed (a small pool), so decode
           finishes with collection instead of after it.
         * ``stopping="stable-top"`` ends collection once the top-ranked
@@ -372,58 +488,64 @@ class SnorlaxServer:
           the stop decision is a pure function of the consumed sample
           prefix, hence transport-independent.
         """
+        return self._collect(
+            send, send_batch, failing_uid, start_seed, failing_sample
+        ).samples
+
+    def _collect(
+        self,
+        send: TraceTransport | None,
+        send_batch: BatchTraceTransport | None,
+        failing_uid: int,
+        start_seed: int,
+        failing_sample: TraceSample | None,
+    ) -> _CollectionState:
         obs = resolve_obs(self.obs)
-        stop_rule = self._make_stop_rule(failing_sample)
-        mode = (
-            "batched"
-            if send_batch is not None
-            else ("parallel" if self.collection_parallelism > 1 else "serial")
-        )
+        policy = self.policy
         with obs.tracer.span(
             "collect_traces",
             failing_uid=failing_uid,
-            wanted=self.success_traces_wanted,
-            parallelism=self.collection_parallelism,
-            mode=mode,
-            stopping=self.stopping,
+            wanted=policy.success_traces_wanted,
+            mode="serial" if send_batch is None else "batched",
+            stopping=policy.stopping,
         ) as cspan:
-            send = self._traced_transport(send, obs.tracer, cspan)
-            state = _CollectionState(self, failing_uid, start_seed, stop_rule)
-            self.last_collection = state
+            state = _CollectionState(
+                self, failing_uid, start_seed, self._make_stop_rule(failing_sample)
+            )
+            window = self._batch_window
+            if send_batch is None:
+                send = self._traced_transport(send, obs.tracer, cspan)
+                send_batch = lambda requests: [send(r) for r in requests]  # noqa: E731
+                window = lambda state: 1  # noqa: E731
             decoder = None
-            if self.trace_cache is not None:
+            if self.caches is not None:
                 decoder = _StreamingDecoder(self, obs.registry)
                 state.on_sample = decoder.submit
                 if failing_sample is not None:
                     decoder.submit(failing_sample)
-            from time import perf_counter
-
             started = perf_counter()
             try:
-                if send_batch is not None:
-                    samples = self._collect_batched(send_batch, state)
-                elif self.collection_parallelism > 1:
-                    samples = self._collect_parallel(send, state)
-                else:
-                    samples = self._collect_serial(send, state)
+                while not state.done:
+                    requests = [state.speculate(i) for i in range(window(state))]
+                    for request, resp in zip(requests, send_batch(requests)):
+                        if state.consume(request, resp):
+                            break  # rest of the wave is stale
             finally:
                 if decoder is not None:
                     decoder.close()
             obs.registry.observe("stage_collect", perf_counter() - started)
             cspan.set(
-                collected=len(samples),
+                collected=len(state.samples),
                 attempts=state.attempts,
                 widened_to=state.widened_to,
             )
-        return samples
+        return state
 
     def _traced_transport(
         self, send: TraceTransport, tracer, parent
     ) -> TraceTransport:
         """Wrap a transport so every step-8 round-trip becomes a
-        ``trace_request`` span.  Parentage is explicit: speculative
-        batches run on pool threads, where the thread-local stack would
-        not see the collection span."""
+        ``trace_request`` span under the collection span."""
         if not tracer.enabled:
             return send
 
@@ -447,99 +569,30 @@ class SnorlaxServer:
         return traced
 
     def _make_stop_rule(self, failing_sample: TraceSample | None):
-        if self.stopping == "fixed":
-            return None
-        if self.stopping != "stable-top":
-            raise DiagnosisError(
-                f"unknown stopping mode {self.stopping!r} "
-                "(expected 'fixed' or 'stable-top')"
-            )
-        if failing_sample is None:
-            # the rule evaluates candidate diagnoses, which need the
-            # failing evidence — without it, fall back to fixed counting
+        if self.policy.stopping == "fixed" or failing_sample is None:
+            # the stable-top rule evaluates candidate diagnoses, which
+            # need the failing evidence — without it, count fixed
             return None
         from repro.core.statistics import StabilityStopRule
 
         return StabilityStopRule(
             evaluate=_TopPatternEvaluator(self, failing_sample),
-            window=self.stability_window,
-            min_samples=self.adaptive_min_traces,
+            window=self.policy.stability_window,
+            min_samples=self.policy.adaptive_min_traces,
         )
 
-    def _collect_serial(
-        self, send: TraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        while not state.done:
-            request = state.speculate(0)
-            state.consume(request, send(request))
-        return state.samples
-
-    def _collect_parallel(
-        self, send: TraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        """Speculative thread-pool collection, serial-equivalent by
-        design: whole waves are issued concurrently, then consumed in
-        attempt order through the shared :class:`_CollectionState`
-        policy (see its docstring for the equivalence argument)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        width = self.collection_parallelism
-        with ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="collect"
-        ) as pool:
-            while not state.done:
-                wave = min(width, self.max_collection_attempts - state.attempts)
-                requests = [state.speculate(i) for i in range(wave)]
-                for request, resp in zip(requests, pool.map(send, requests)):
-                    if state.consume(request, resp):
-                        break  # rest of the wave is stale
-        return state.samples
-
-    def _collect_batched(
-        self, send_batch: BatchTraceTransport, state: _CollectionState
-    ) -> list[TraceSample]:
-        """Wave-at-a-time collection over a batch transport: one call
-        ships the whole speculative wave (the fleet fans it across every
-        live agent in one round-trip) and the positional responses are
-        consumed in attempt order — the same policy, so the same
-        evidence."""
-        while not state.done:
-            wave = self._batch_window(state)
-            requests = [state.speculate(i) for i in range(wave)]
-            responses = send_batch(requests)
-            for request, resp in zip(requests, responses):
-                if state.consume(request, resp):
-                    break  # rest of the wave is stale
-        return state.samples
-
     def _batch_window(self, state: _CollectionState) -> int:
-        """How far ahead to speculate in one batched wave: what fixed
-        counting still needs (or the stop rule's useful lookahead) plus
-        margin for seeds that miss the armed breakpoint, clamped to the
-        attempt cap.  The window only sizes the wave; responses are
+        """How far ahead a batch transport speculates in one wave: what
+        fixed counting still needs (or the stop rule's useful lookahead)
+        plus margin for seeds that miss the armed breakpoint, clamped to
+        the attempt cap.  The window only sizes the wave; responses are
         still consumed in attempt order, so the evidence is
         window-invariant."""
-        need = max(1, self.success_traces_wanted - len(state.samples))
+        need = max(1, self.policy.success_traces_wanted - len(state.samples))
         if state.stop_rule is not None:
             need = min(need, state.stop_rule.lookahead())
         window = need + max(2, need // 2)
-        return min(window, self.max_collection_attempts - state.attempts)
-
-    def _collection_deadline(self) -> float | None:
-        if self.collection_deadline_s is None:
-            return None
-        from time import monotonic
-
-        return monotonic() + self.collection_deadline_s
-
-    def _deadline_hit(self, deadline: float | None, samples: list) -> bool:
-        """Degrade once the deadline passes — but never below the
-        minimum evidence the pipeline needs (keep trying for that)."""
-        if deadline is None or len(samples) < self.min_success_traces:
-            return False
-        from time import monotonic
-
-        return monotonic() > deadline
+        return min(window, self.policy.max_collection_attempts - state.attempts)
 
     def _widen_breakpoints(self, failing_uid: int) -> list[int]:
         """Predecessor-block fallback: arm earlier PCs too (§4.1)."""
@@ -560,17 +613,6 @@ class SnorlaxServer:
     def handle_trace_request(
         self, client: SnorlaxClient, request: TraceRequest
     ) -> TraceResponse:
-        run = client.run_once(
-            request.seed,
-            breakpoint_uids=request.breakpoint_uids,
-            breakpoint_skip=request.breakpoint_skip,
-        )
+        response = run_trace_request(client, request)
         self.stats.executions_requested += 1
-        sample = None
-        if run.snapshot is not None:
-            sample = sample_from_run(request.label, run)
-        return TraceResponse(
-            label=request.label,
-            outcome=run.result.outcome,
-            sample=sample,
-        )
+        return response

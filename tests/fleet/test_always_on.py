@@ -31,7 +31,7 @@ from repro.fleet import (
 from repro.fleet.shard import signature_for_failure
 from repro.ir import parse_module
 from repro.provenance import EvidenceGraph, report_key
-from repro.runtime import SnorlaxClient, SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 from repro.store import DiagnosisStore
 
 from tests.fleet.test_wire import make_sample
@@ -322,7 +322,7 @@ def test_anomaly_triggered_digest_matches_on_demand(custom_module, failing_run):
         # the equivalence contract: unprompted == asked-for
         client = SnorlaxClient(custom_module, _workload)
         in_process = SnorlaxServer(
-            custom_module, success_traces_wanted=4
+            custom_module, policy=CollectionPolicy(success_traces_wanted=4)
         ).diagnose(failing_run, client).report
         assert anomaly_digest == report_digest(in_process)
         # exactly one trigger: the window is effectively infinite

@@ -23,7 +23,7 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.ir import parse_module
-from repro.runtime import SnorlaxClient, SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
 from tests.runtime.test_client_server import SRC, _workload
 
@@ -199,23 +199,6 @@ def test_batched_collection_survives_drop_and_delay(in_process_digests):
         assert digest == in_process_digests[signature], signature
 
 
-def test_unbatched_fleet_matches_in_process_digests(in_process_digests):
-    # regression for the per-request transport: disabling batching must
-    # not change a byte of any digest
-    config = FleetConfig(
-        agents=8,
-        bug_ids=("aget-2",),
-        reporters_per_bug=1,
-        workers=2,
-        collection_batching=False,
-    )
-    result = run_fleet(config, metrics=FleetMetrics())
-    assert not [o for o in result.outcomes if o.error]
-    assert result.metrics["counters"].get("trace_batches_sent", 0) == 0
-    for signature, digest in result.digests.items():
-        assert digest == in_process_digests[signature], signature
-
-
 # -- validation under chaos -------------------------------------------------
 
 
@@ -310,6 +293,62 @@ def test_degraded_collection_is_flagged_not_failed(custom_module):
     assert any("degraded collection" in n for n in result.digest["notes"])
     # degraded evidence still yields a diagnosis, just from fewer traces
     assert result.digest["diagnosed"]
+
+
+def _fleet_digest(custom_module, **server_kwargs) -> dict:
+    server = FleetServer(
+        module_resolver=lambda bug_id: custom_module,
+        workers=1,
+        metrics=FleetMetrics(),
+        **server_kwargs,
+    )
+    host, port = server.start()
+    stop = threading.Event()
+    try:
+        agent = FleetAgent(
+            "solo", "custom-readbeforeinit", custom_module, _workload, host, port
+        )
+        agent.connect()
+        result = agent.produce_and_report(stop)
+        agent.close()
+    finally:
+        stop.set()
+        server.stop()
+    return result.digest
+
+
+def test_in_process_degraded_collection_is_stamped_like_the_fleet(
+    custom_module,
+):
+    # regression: in-process diagnosis with a collection deadline never
+    # marked the report degraded, so its digest differed from the
+    # fleet's for the same evidence cut short by the deadline
+    client = SnorlaxClient(custom_module, _workload)
+    failing = client.find_runs(True, 1)[0]
+    policy = CollectionPolicy(
+        success_traces_wanted=25, deadline_s=0, min_success_traces=1
+    )
+    report = SnorlaxServer(custom_module, policy=policy).diagnose(
+        failing, client
+    ).report
+    assert report.degraded
+    digest = report_digest(report)
+    assert digest["degraded"] is True
+    # a deadline of 0 stops at the minimum evidence: one trace
+    assert "degraded collection: diagnosed from 1/25 successful traces" in (
+        digest["notes"]
+    )
+    fleet = _fleet_digest(
+        custom_module,
+        success_traces_wanted=25,
+        collection_deadline_s=0,
+        min_success_traces=1,
+    )
+    assert fleet["degraded"] is True
+    assert set(fleet) == set(digest)
+    (fleet_note,) = [n for n in fleet["notes"] if "degraded" in n]
+    assert fleet_note.startswith("degraded collection: diagnosed from ")
+    assert fleet_note.endswith("/25 successful traces")
 
 
 def test_fault_free_fleet_digest_is_not_degraded(custom_module):

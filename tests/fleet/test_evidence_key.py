@@ -1,46 +1,40 @@
-"""The fleet server's evidence memoization key.
+"""The evidence memoization key, derived from the frozen CollectionPolicy.
 
-Regression for the cache-key audit: two servers that differ only in the
-collection scheduler config must never share collected evidence — a
-different preemption granularity interleaves the very same seeds
-differently.
+Regression for the cache-key audit: evidence collected under one policy
+must never be replayed under another — a different preemption
+granularity interleaves the very same seeds differently, and a
+different stopping rule keeps a different sample prefix.  The key is
+derived from ``dataclasses.fields``, so every field moves it; a new
+field without an entry in ``CHANGED`` fails here until it gets one.
 """
+
+import dataclasses
+
+import pytest
 
 from repro.api import SchedulerPolicy
 from repro.fleet.server import FleetServer
-from repro.fleet.wire import FailureEnvelope
-from repro.ir import parse_module
-from repro.runtime.protocol import FailureNotification
+from repro.runtime import CollectionPolicy
 
-from tests.runtime.test_client_server import SRC
+CHANGED = {
+    "success_traces_wanted": 11,
+    "max_collection_attempts": 500,
+    "stopping": "stable-top",
+    "stability_window": 5,
+    "adaptive_min_traces": 2,
+    "min_success_traces": 3,
+    "deadline_s": 1.5,
+    "scheduler": SchedulerPolicy(mean_quantum=8),
+}
 
-ENV = FailureEnvelope(
-    bug_id="custom-readbeforeinit",
-    seed=7,
-    notification=FailureNotification(
-        bug_hint="custom-readbeforeinit", failing_uid=89, failing_tid=2, time=0
-    ),
-    sample=None,
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(CollectionPolicy), ids=lambda f: f.name
 )
-
-
-def _server(**kw):
-    return FleetServer(module_resolver=lambda bug_id: None, workers=1, **kw)
-
-
-def test_evidence_key_includes_collection_policy():
-    module = parse_module(SRC)
-    a = _server(collection_policy=SchedulerPolicy(mean_quantum=24))
-    b = _server(collection_policy=SchedulerPolicy(mean_quantum=8))
-    c = _server()  # defaults to SchedulerPolicy() == ("random", 24)
-    d = _server(collection_policy=SchedulerPolicy(kind="hierarchical"))
-    try:
-        assert a._evidence_key(module, ENV) != b._evidence_key(module, ENV)
-        assert a._evidence_key(module, ENV) == c._evidence_key(module, ENV)
-        assert a._evidence_key(module, ENV) != d._evidence_key(module, ENV)
-    finally:
-        for s in (a, b, c, d):
-            s.jobs.shutdown(wait=True)
+def test_every_policy_field_moves_the_cache_key(field):
+    base = CollectionPolicy()
+    changed = dataclasses.replace(base, **{field.name: CHANGED[field.name]})
+    assert changed.cache_key() != base.cache_key()
 
 
 def test_default_policy_cache_key_is_wire_compatible():
@@ -51,14 +45,32 @@ def test_default_policy_cache_key_is_wire_compatible():
     assert SchedulerPolicy(mean_quantum=48).cache_key() == ("random", 48)
 
 
-def test_evidence_key_still_varies_by_stopping_policy():
-    module = parse_module(SRC)
-    fixed = _server(stopping="fixed")
-    adaptive = _server(stopping="stable-top")
+def test_unknown_stopping_mode_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="stopping"):
+        CollectionPolicy(stopping="sometimes")
+
+
+def test_fleet_kwargs_map_onto_one_policy():
+    server = FleetServer(
+        module_resolver=lambda bug_id: None,
+        workers=1,
+        success_traces_wanted=7,
+        stopping="stable-top",
+        stability_window=4,
+        adaptive_min_traces=2,
+        collection_deadline_s=3.0,
+        min_success_traces=2,
+        collection_policy=SchedulerPolicy(kind="hierarchical"),
+    )
     try:
-        assert fixed._evidence_key(module, ENV) != adaptive._evidence_key(
-            module, ENV
+        assert server.policy == CollectionPolicy(
+            success_traces_wanted=7,
+            stopping="stable-top",
+            stability_window=4,
+            adaptive_min_traces=2,
+            deadline_s=3.0,
+            min_success_traces=2,
+            scheduler=SchedulerPolicy(kind="hierarchical"),
         )
     finally:
-        for s in (fixed, adaptive):
-            s.jobs.shutdown(wait=True)
+        server.jobs.shutdown(wait=True)

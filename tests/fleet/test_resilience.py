@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.errors import FleetError
 from repro.fleet import (
     DiagnosisJobQueue,
     FleetAgent,
@@ -145,8 +144,13 @@ def test_request_fails_cleanly_when_every_endpoint_hangs(custom_module):
         assert _wait_for(lambda: len(_conns(server)) == 1)
         hung_conn = _conns(server)[0]
         request = TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
-        with pytest.raises(FleetError, match="within"):
-            server._remote_request(BUG, request)
+        started = time.perf_counter()
+        responses = server._remote_batch(BUG, [request])
+        # the wave's wall-clock budget, not the per-endpoint reply
+        # timeout, ended it — and the miss is positional, not an error
+        assert time.perf_counter() - started < 5.0
+        assert [r.outcome for r in responses] == ["unreachable"]
+        assert responses[0].label == "probe" and responses[0].sample is None
         assert hung_conn.pending == {}  # the timeout cleaned up behind itself
         assert server.metrics.counter("trace_request_timeouts") >= 1
     finally:
@@ -157,14 +161,19 @@ def test_request_fails_cleanly_when_every_endpoint_hangs(custom_module):
 def test_no_endpoint_at_all_fails_with_backoff_not_spin(custom_module):
     server = _server(custom_module, request_timeout=0.3)
     try:
-        request = TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
+        requests = [
+            TraceRequest(label=f"probe-{i}", seed=i, breakpoint_uids=(2,))
+            for i in range(3)
+        ]
         started = time.perf_counter()
-        with pytest.raises(FleetError):
-            server._remote_request("no-such-bug", request)
+        responses = server._remote_batch("no-such-bug", requests)
         # bounded by the wall clock, and the loop slept between attempts
         # instead of spinning (a spin would still return fast — what we
         # pin here is that the budget, not an attempt count, ended it)
         assert time.perf_counter() - started < 5.0
+        assert [r.outcome for r in responses] == ["unreachable"] * 3
+        assert [r.label for r in responses] == [r.label for r in requests]
+        assert server.metrics.counter("trace_requests_failed") == 3
     finally:
         server.stop()
 

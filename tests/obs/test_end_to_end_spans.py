@@ -11,7 +11,9 @@ from repro.errors import DiagnosisError
 from repro.fleet import DiagnosisJobQueue, FleetMetrics
 from repro.ir import parse_module
 from repro.obs import NULL_TRACER, Observability, Tracer
-from repro.runtime import SnorlaxClient, SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
+
+FIVE = CollectionPolicy(success_traces_wanted=5)
 
 SRC = """
 module t
@@ -82,7 +84,7 @@ def failing(client):
 @pytest.fixture(scope="module")
 def traced_diagnosis(module, client, failing):
     obs = Observability()
-    server = SnorlaxServer(module, success_traces_wanted=5, obs=obs)
+    server = SnorlaxServer(module, policy=FIVE, obs=obs)
     result = server.diagnose(failing, client)
     return obs, result
 
@@ -149,7 +151,7 @@ def test_flight_recorder_embedded_in_the_report(traced_diagnosis):
 
 def test_disabled_observability_records_nothing(module, client, failing):
     before = len(NULL_TRACER)
-    server = SnorlaxServer(module, success_traces_wanted=3)  # obs=None
+    server = SnorlaxServer(module, policy=CollectionPolicy(success_traces_wanted=3))
     result = server.diagnose(failing, client)
     assert len(NULL_TRACER) == before == 0
     assert result.spans == ()
@@ -159,7 +161,7 @@ def test_disabled_observability_records_nothing(module, client, failing):
 def test_api_diagnose_matches_legacy_entry_points(module, client, failing):
     from repro.fleet.server import report_digest
 
-    server = SnorlaxServer(module, success_traces_wanted=5)
+    server = SnorlaxServer(module, policy=FIVE)
     failing_sample = server.sample_from_run("failure", failing)
     successes = server.collect_successful_traces(
         client, failing.failure.failing_uid, 10_000
@@ -171,7 +173,7 @@ def test_api_diagnose_matches_legacy_entry_points(module, client, failing):
     assert via_api.request.failing == (failing_sample,)
     assert len(via_api.request.successes) == len(successes)
     # and the server flow agrees end to end on the same failing run
-    via_server = SnorlaxServer(module, success_traces_wanted=5).diagnose(
+    via_server = SnorlaxServer(module, policy=FIVE).diagnose(
         failing, client
     )
     assert report_digest(via_server.report) == report_digest(via_api.report)

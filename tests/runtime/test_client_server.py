@@ -7,11 +7,14 @@ import pytest
 
 from repro.ir import parse_module
 from repro.runtime import (
+    CollectionPolicy,
     SnorlaxClient,
     SnorlaxServer,
     TraceRequest,
     classify,
 )
+
+FOUR = CollectionPolicy(success_traces_wanted=4)
 
 SRC = """
 module t
@@ -93,7 +96,7 @@ def test_untraced_run_matches_outcome(client):
 
 def test_server_collects_successful_traces(module, client):
     failing = client.find_runs(True, 1)[0]
-    server = SnorlaxServer(module, success_traces_wanted=5)
+    server = SnorlaxServer(module, policy=CollectionPolicy(success_traces_wanted=5))
     samples = server.collect_successful_traces(
         client, failing.failure.failing_uid, 5_000
     )
@@ -161,32 +164,48 @@ def test_handle_trace_request_honors_breakpoint_skip(module, client):
     assert skipped.sample is None
 
 
-def test_parallel_collection_gathers_identical_evidence(module, client):
-    # Speculative parallel collection must be invisible in the evidence:
-    # same samples, same labels, same bytes as the serial policy — only
-    # wall-clock (and the number of *issued* requests) may differ.
+def test_window_one_over_a_batch_transport_gathers_identical_evidence(
+    module, client
+):
+    # The wave size must be invisible in the evidence: a batch transport
+    # driven one request at a time (window 1) and the same transport at
+    # its derived window gather the same samples, labels and bytes —
+    # only the number of *issued* requests may differ.
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
-    serial = SnorlaxServer(module, success_traces_wanted=4)
-    base = serial.collect_successful_traces(client, uid, 5_000)
-    parallel = SnorlaxServer(
-        module, success_traces_wanted=4, collection_parallelism=3
-    )
-    spec = parallel.collect_successful_traces(client, uid, 5_000)
+    collected = {}
+    for window in ("one", "derived"):
+        server = SnorlaxServer(module, policy=FOUR)
+
+        def send_batch(requests, s=server):
+            return [s.handle_trace_request(client, r) for r in requests]
+
+        if window == "one":
+            samples = server.collect_traces_via(
+                lambda req: send_batch([req])[0], uid, 5_000
+            )
+        else:
+            samples = server.collect_traces_via(
+                None, uid, 5_000, send_batch=send_batch
+            )
+        collected[window] = (server, samples)
+    (one, base), (derived, spec) = collected["one"], collected["derived"]
     assert [s.label for s in base] == [s.label for s in spec]
     assert [s.buffers for s in base] == [s.buffers for s in spec]
     assert [s.positions for s in base] == [s.positions for s in spec]
-    assert parallel.stats.success_traces == serial.stats.success_traces
+    assert one.stats.success_traces == derived.stats.success_traces
+    # window 1 issues no speculative executions; the derived window does
+    assert one.stats.executions_requested <= derived.stats.executions_requested
 
 
 def test_batched_collection_gathers_identical_evidence(module, client):
     # The batched transport (whole speculative waves in one frame) must
-    # be invisible in the evidence, exactly like thread parallelism.
+    # be invisible in the evidence.
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
-    serial = SnorlaxServer(module, success_traces_wanted=4)
+    serial = SnorlaxServer(module, policy=FOUR)
     base = serial.collect_successful_traces(client, uid, 5_000)
-    batched = SnorlaxServer(module, success_traces_wanted=4)
+    batched = SnorlaxServer(module, policy=FOUR)
 
     def send_batch(requests):
         return [batched.handle_trace_request(client, r) for r in requests]
@@ -209,27 +228,25 @@ def test_adaptive_stopping_is_transport_invariant(module, client):
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
     collected = {}
+    policy = CollectionPolicy(
+        success_traces_wanted=10, stopping="stable-top", adaptive_min_traces=3
+    )
     for label, batch in (("serial", False), ("batched", True)):
-        server = SnorlaxServer(
-            module,
-            success_traces_wanted=10,
-            stopping="stable-top",
-            adaptive_min_traces=3,
-        )
+        server = SnorlaxServer(module, policy=policy)
         failing_sample = server.sample_from_run("failure", failing)
 
         def send_batch(requests, s=server):
             return [s.handle_trace_request(client, r) for r in requests]
 
-        collected[label] = server.collect_traces_via(
-            lambda req, s=server: s.handle_trace_request(client, req),
+        session = server.run_session(
+            failing_sample,
             uid,
             5_000,
+            send=lambda req, s=server: s.handle_trace_request(client, req),
             send_batch=send_batch if batch else None,
-            failing_sample=failing_sample,
         )
-        assert server.last_collection is not None
-        assert server.last_collection.satisfied
+        assert not session.degraded  # stopped because the evidence sufficed
+        collected[label] = session.successes
     serial, batched = collected["serial"], collected["batched"]
     assert [s.label for s in serial] == [s.label for s in batched]
     assert [s.buffers for s in serial] == [s.buffers for s in batched]
@@ -238,23 +255,21 @@ def test_adaptive_stopping_is_transport_invariant(module, client):
 
 
 def test_server_caches_shared_across_diagnoses(module, client):
-    from repro.core.cache import AnalysisCache, DecodedTraceCache
+    from repro.core.cache import DiagnosisCaches
 
     failing = client.find_runs(True, 1)[0]
-    server = SnorlaxServer(
-        module,
-        analysis_cache=AnalysisCache(),
-        trace_cache=DecodedTraceCache(),
-    )
-    first = server.diagnose(failing, client).report
-    cold = dict(server.last_pipeline.last_cache_events)
+    server = SnorlaxServer(module, caches=DiagnosisCaches())
+    first_result = server.diagnose(failing, client)
+    first = first_result.report
+    cold = first_result.cache_events
     assert cold["analysis_cache_misses"] == 1
     # streaming decode warms the trace cache while collection is still
     # in flight, so even the cold pipeline run sees only hits
     assert cold["trace_cache_misses"] == 0
     assert cold["trace_cache_hits"] > 0
-    second = server.diagnose(failing, client).report
-    warm = server.last_pipeline.last_cache_events
+    second_result = server.diagnose(failing, client)
+    second = second_result.report
+    warm = second_result.cache_events
     # identical evidence: points-to and every decode come from cache
     assert warm["analysis_cache_hits"] == 1
     assert warm["trace_cache_misses"] == 0
@@ -268,9 +283,9 @@ def test_collection_identical_via_message_api(module, client):
     # over handle_trace_request.
     failing = client.find_runs(True, 1)[0]
     uid = failing.failure.failing_uid
-    a = SnorlaxServer(module, success_traces_wanted=4)
+    a = SnorlaxServer(module, policy=FOUR)
     direct = a.collect_successful_traces(client, uid, 5_000)
-    b = SnorlaxServer(module, success_traces_wanted=4)
+    b = SnorlaxServer(module, policy=FOUR)
     via = b.collect_traces_via(
         lambda req: b.handle_trace_request(client, req), uid, 5_000
     )

@@ -16,7 +16,7 @@ from repro.core.cache import AnalysisCache
 from repro.core.points_to import PointsToAnalysis
 from repro.fleet.server import report_digest
 from repro.ir import parse_module
-from repro.runtime import SnorlaxClient, SnorlaxServer
+from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 from repro.store import (
     DiagnosisStore,
     decode_analysis,
@@ -32,7 +32,7 @@ def evidence():
     module = parse_module(SRC)
     client = SnorlaxClient(module, _workload)
     failing = client.find_runs(True, 1)[0]
-    server = SnorlaxServer(module, success_traces_wanted=4)
+    server = SnorlaxServer(module, policy=CollectionPolicy(success_traces_wanted=4))
     failing_sample = server.sample_from_run("failure", failing)
     successes = server.collect_successful_traces(
         client, failing.failure.failing_uid, start_seed=10_000
