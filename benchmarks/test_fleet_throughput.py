@@ -18,8 +18,8 @@ import pytest
 
 from repro.bench import render_table
 from repro.core.cache import DiagnosisCaches
-from repro.fleet import DEFAULT_BUGS, FleetConfig, FleetMetrics, run_fleet
-from repro.obs import Observability
+from repro.fleet import DEFAULT_BUGS, FleetConfig, run_fleet
+from repro.obs import MetricsRegistry, Observability
 
 AGENTS = 50
 REPORTERS_PER_BUG = 3
@@ -42,13 +42,13 @@ def fleet_waves():
     # the cold wave runs with the span tracer on (registry shared with
     # the wave's metrics, so the counters below are unaffected); its
     # span tree goes into the emitted report
-    cold_metrics = FleetMetrics()
+    cold_metrics = MetricsRegistry()
     cold = run_fleet(
         replace(config, obs=Observability(registry=cold_metrics)),
         metrics=cold_metrics,
         caches=caches,
     )
-    warm = run_fleet(config, metrics=FleetMetrics(), caches=caches)
+    warm = run_fleet(config, metrics=MetricsRegistry(), caches=caches)
     return cold, warm
 
 

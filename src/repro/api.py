@@ -172,9 +172,6 @@ class DiagnosisResult:
     cache_events: dict[str, int]
     # the finished span tree of this run (root first), when tracing was on
     spans: tuple[Span, ...] = ()
-    # the pipeline that ran, for legacy callers poking at last_analysis /
-    # last_ranking; excluded from equality and repr on purpose.
-    pipeline: LazyDiagnosis | None = field(default=None, repr=False, compare=False)
 
     @property
     def diagnosed(self) -> bool:
@@ -275,5 +272,4 @@ def result_from_pipeline(
         stage_seconds=dict(pipeline.last_stage_seconds),
         cache_events=dict(pipeline.last_cache_events),
         spans=spans,
-        pipeline=pipeline,
     )

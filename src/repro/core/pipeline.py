@@ -90,9 +90,6 @@ class LazyDiagnosis:
         self.analysis_cache = analysis_cache  # AnalysisCache | None
         self.trace_cache = trace_cache  # DecodedTraceCache | None
         self.obs = obs  # Observability | None
-        self.last_analysis: PointsToAnalysis | None = None
-        self.last_ranking: RankingResult | None = None
-        self.last_traces: list[ProcessedTrace] = []
         self.last_root_span = None  # Span | None (when tracing is on)
         # per-diagnose() observability: cache hit/miss counts and wall
         # time per pipeline stage, consumed by the fleet metrics.
@@ -166,7 +163,6 @@ class LazyDiagnosis:
                 self._process(s, report_failure, anchors, tracer)
                 for s in failing + successes
             ]
-            self.last_traces = traces
             span.set(anchors=len(anchors))
         close_stage("trace_processing", started)
         executed: set[int] = set()
@@ -191,7 +187,6 @@ class LazyDiagnosis:
                 cache=self.analysis_cache, obs=obs,
             ).run()
             span.set(constraints=analysis.stats.constraints)
-        self.last_analysis = analysis
         checkpoint(
             "pipeline.points_to",
             analysis=analysis,
@@ -223,7 +218,6 @@ class LazyDiagnosis:
                 candidates=len(ranking.candidates),
                 rank1_candidates=len(ranking.rank1()),
             )
-        self.last_ranking = ranking
         close_stage("type_ranking", stage_start)
         # step 6: per-execution bug pattern computation
         stage_start = _time.perf_counter()

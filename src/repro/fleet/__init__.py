@@ -12,7 +12,6 @@ Layers::
                 runtime protocol messages and TraceSample payloads
     chaos       deterministic, seed-driven fault injection over the
                 wire transports (corruption, drops, delays, crashes)
-    metrics     thread-safe counters/gauges/latency timers
     jobs        bounded diagnosis worker pool: dedup + backpressure
     anomaly     EWMA failure/hang scoring for always-on monitoring
     server      asyncio TCP server wrapping SnorlaxServer
@@ -32,7 +31,6 @@ from repro.fleet.chaos import (
     LinkCut,
 )
 from repro.fleet.jobs import DiagnosisJobQueue, JobRejected, QueueClosed
-from repro.fleet.metrics import FleetMetrics
 from repro.fleet.server import (
     FleetServer,
     failure_signature,
@@ -83,7 +81,6 @@ __all__ = [
     "DiagnosisJobQueue",
     "JobRejected",
     "QueueClosed",
-    "FleetMetrics",
     "FleetServer",
     "failure_signature",
     "render_digest",

@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import FleetError
 from repro.fleet.chaos import FaultPlan
-from repro.fleet.metrics import FleetMetrics
 from repro.fleet.simulation import DEFAULT_BUGS, FleetConfig, run_fleet
+from repro.obs import MetricsRegistry
 
 
 def _verify_digests(result, metrics, config) -> list[str]:
@@ -175,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     chaos.add_argument(
         "--chaos-restart-after", type=float, default=None, metavar="S",
-        help="restart the fleet server S seconds into the run",
+        help="kill and restart the shard owning the first reported "
+        "signature S seconds into the run",
     )
     resilience = parser.add_argument_group("resilience")
     resilience.add_argument(
@@ -200,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     monitor_group.add_argument(
         "--monitor", action="store_true",
         help="population endpoints run monitor loops (heartbeats + "
-        "sampled telemetry) so the server diagnoses anomalies unprompted",
+        "sampled telemetry) so the server diagnoses anomalies unprompted "
+        "(needs --shards 1)",
     )
     monitor_group.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="S",
@@ -218,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     monitor_group.add_argument(
         "--dashboard-port", type=int, default=None, metavar="PORT",
         help="serve the live fleet dashboard on http://HOST:PORT/ "
-        "(0 picks a free port)",
+        "(0 picks a free port; needs --shards 1)",
     )
     obs_group = parser.add_argument_group("observability")
     obs_group.add_argument(
@@ -291,8 +294,11 @@ def main(argv: list[str] | None = None) -> int:
         heartbeat_timeout_s=args.heartbeat_timeout,
         dashboard_port=args.dashboard_port,
     )
-    metrics = FleetMetrics()
-    result = run_fleet(config, metrics=metrics)
+    metrics = MetricsRegistry()
+    try:
+        result = run_fleet(config, metrics=metrics)
+    except FleetError as exc:
+        parser.error(str(exc))
 
     mismatches: list[str] = []
     if args.verify_digests:

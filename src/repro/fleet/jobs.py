@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Callable
 
 from repro.errors import FleetError
-from repro.fleet.metrics import FleetMetrics
+from repro.obs import MetricsRegistry
 
 
 class JobRejected(FleetError):
@@ -58,7 +58,7 @@ class DiagnosisJobQueue:
         workers: int | None = 2,
         max_pending: int = 8,
         retry_after: float = 0.25,
-        metrics: FleetMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         tracer=None,
     ):
         if workers is None:
@@ -70,7 +70,7 @@ class DiagnosisJobQueue:
         self.workers = workers
         if max_pending < 1:
             raise FleetError("job queue needs max_pending >= 1")
-        self.metrics = metrics or FleetMetrics()
+        self.metrics = metrics or MetricsRegistry()
         if tracer is None:
             from repro.obs.tracer import NULL_TRACER as tracer  # noqa: N813
         self.tracer = tracer

@@ -42,7 +42,6 @@ from repro.core.report import DiagnosisReport
 from repro.errors import FleetError, WireError
 from repro.fleet.anomaly import EwmaAnomalyDetector
 from repro.fleet.jobs import DiagnosisJobQueue, JobRejected, QueueClosed
-from repro.fleet.metrics import FleetMetrics
 from repro.fleet.wire import (
     DiagnosisResult,
     FailureEnvelope,
@@ -58,7 +57,7 @@ from repro.fleet.wire import (
     read_frame_async,
 )
 from repro.ir.module import Module
-from repro.obs import MetricsHTTPServer, Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.tracer import NULL_TRACER
 from repro.provenance import EvidenceGraph, build_evidence_graph, report_key
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
@@ -69,13 +68,19 @@ from repro.runtime.server import CollectionPolicy, SnorlaxServer
 AGENT_BATCH_LIMIT = 8
 
 
-def failure_signature(env: FailureEnvelope) -> str:
+def format_signature(bug_id: str, kind: str, failing_uid: int) -> str:
     """The dedup key: same program, same failure kind, same failing PC.
 
     N endpoints crashing at the same instruction of the same bug are one
-    fleet-wide diagnosis, not N."""
+    fleet-wide diagnosis, not N.  The one spelling of the key: the
+    server, the monitor path and self-routing agents all format here."""
+    return f"{bug_id}|{kind}|{failing_uid}"
+
+
+def failure_signature(env: FailureEnvelope) -> str:
+    """The signature of a reported failure envelope."""
     kind = env.sample.failure.kind if env.sample.failure is not None else "unknown"
-    return f"{env.bug_id}|{kind}|{env.notification.failing_uid}"
+    return format_signature(env.bug_id, kind, env.notification.failing_uid)
 
 
 def report_digest(report: DiagnosisReport) -> dict:
@@ -200,7 +205,7 @@ class FleetServer:
         success_traces_wanted: int = 10,
         start_seed: int = 10_000,
         config: PipelineConfig | None = None,
-        metrics: FleetMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         request_timeout: float = 120.0,
         caches: DiagnosisCaches | None = None,
         enable_caches: bool = True,
@@ -214,7 +219,6 @@ class FleetServer:
         min_success_traces: int = 1,
         frame_timeout: float = 30.0,
         obs: Observability | None = None,
-        metrics_port: int | None = None,
         store=None,
         collection_policy=None,
         validate: bool = False,
@@ -278,17 +282,11 @@ class FleetServer:
         # either way the pipeline, solver, and caches record into the
         # same place the Prometheus endpoint scrapes.
         if metrics is None and obs is not None:
-            metrics = obs.registry  # type: ignore[assignment]
-        self.metrics = metrics or FleetMetrics()
+            metrics = obs.registry
+        self.metrics = metrics or MetricsRegistry()
         self.obs = obs or Observability(
             tracer=NULL_TRACER, registry=self.metrics
         )
-        # optional Prometheus scrape endpoint (``--metrics-port``)
-        self.metrics_server: MetricsHTTPServer | None = None
-        if metrics_port is not None:
-            self.metrics_server = MetricsHTTPServer(
-                self.metrics, host=self.host, port=metrics_port
-            )
         self.jobs = DiagnosisJobQueue(
             workers=workers,
             max_pending=max_pending,
@@ -366,8 +364,6 @@ class FleetServer:
         self._ready.wait()
         if self._startup_error is not None:
             raise FleetError(f"fleet server failed to start: {self._startup_error}")
-        if self.metrics_server is not None:
-            self.metrics_server.start()
         if self.dashboard is not None:
             self.dashboard.start()
         return self.host, self.port
@@ -400,8 +396,6 @@ class FleetServer:
 
     def stop(self, drain: bool = True) -> None:
         """Stop intake, drain in-flight diagnoses, tear the loop down."""
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
         if self.dashboard is not None:
             self.dashboard.stop()
         loop = self._loop
@@ -581,27 +575,17 @@ class FleetServer:
     ) -> None:
         self.metrics.inc("failures_received")
         signature = failure_signature(env)
-        # persistent-store fast path: a signature some earlier process —
-        # or another shard — already diagnosed is served from disk
-        # without touching the job queue.  The in-memory future cache
-        # still wins for signatures this server diagnosed (submit dedup
-        # is cheaper and its counters feed the existing dedup tests).
-        if self.store is not None and self.jobs.result_for(signature) is None:
-            stored = self.store.get_report(signature)
-            if stored is not None:
-                self.metrics.inc("diagnoses_from_store")
-                self.store.absorb_into(self.metrics)
-                conn.writer.write(
-                    encode_frame(
-                        DiagnosisResult(
-                            signature=signature, digest=stored.digest
-                        ),
-                        request_id,
-                    )
+        stored = self._stored_digest(signature)
+        if stored is not None:
+            conn.writer.write(
+                encode_frame(
+                    DiagnosisResult(signature=signature, digest=stored),
+                    request_id,
                 )
-                await conn.writer.drain()
-                self.metrics.inc("results_delivered")
-                return
+            )
+            await conn.writer.drain()
+            self.metrics.inc("results_delivered")
+            return
         try:
             future, _dedup = self.jobs.submit(
                 signature, lambda: self._diagnose(env)
@@ -626,6 +610,21 @@ class FleetServer:
             future.add_done_callback(
                 lambda f, s=signature: loop.call_soon_threadsafe(self._deliver, s, f)
             )
+
+    def _stored_digest(self, signature: str) -> dict | None:
+        """Persistent-store fast path: the digest of a signature some
+        earlier process — or another shard — already diagnosed, served
+        from disk without touching the job queue.  The in-memory future
+        cache still wins for signatures this server diagnosed (submit
+        dedup is cheaper and its counters feed the dedup tests)."""
+        if self.store is None or self.jobs.result_for(signature) is not None:
+            return None
+        stored = self.store.get_report(signature)
+        if stored is None:
+            return None
+        self.metrics.inc("diagnoses_from_store")
+        self.store.absorb_into(self.metrics)
+        return stored.digest
 
     def _deliver(self, signature: str, future) -> None:
         """Fan one finished diagnosis out to every endpoint that reported
@@ -705,12 +704,23 @@ class FleetServer:
         trips, start a diagnosis unprompted (or serve it from the store)
         and remember the digest for the timeline/equivalence checks."""
         self.metrics.inc("monitor_samples_received")
-        signature = None
+        env = signature = None
         hang = False
         failure = msg.sample.failure if msg.sample is not None else None
         if msg.outcome == "failure" and failure is not None:
             self.metrics.inc("monitor_failures_seen")
-            signature = f"{msg.bug_id}|{failure.kind}|{failure.failing_uid}"
+            env = FailureEnvelope(
+                bug_id=msg.bug_id,
+                seed=msg.seed,
+                notification=FailureNotification(
+                    bug_hint=msg.bug_id,
+                    failing_uid=failure.failing_uid,
+                    failing_tid=failure.failing_tid,
+                    time=failure.time,
+                ),
+                sample=msg.sample,
+            )
+            signature = failure_signature(env)
             hang = msg.hang
         event = self.anomaly.observe(msg.bug_id, signature, hang, self._now())
         if event is None:
@@ -727,26 +737,10 @@ class FleetServer:
                 "at": event.at,
             }
         )
-        # store fast path mirrors _on_failure: a signature already
-        # diagnosed by an earlier process is served from disk
-        if self.store is not None and self.jobs.result_for(signature) is None:
-            stored = self.store.get_report(signature)
-            if stored is not None:
-                self.metrics.inc("diagnoses_from_store")
-                self.store.absorb_into(self.metrics)
-                self._anomaly_digests[signature] = stored.digest
-                return
-        env = FailureEnvelope(
-            bug_id=msg.bug_id,
-            seed=msg.seed,
-            notification=FailureNotification(
-                bug_hint=msg.bug_id,
-                failing_uid=failure.failing_uid,
-                failing_tid=failure.failing_tid,
-                time=failure.time,
-            ),
-            sample=msg.sample,
-        )
+        stored = self._stored_digest(signature)
+        if stored is not None:
+            self._anomaly_digests[signature] = stored
+            return
         try:
             future, _dedup = self.jobs.submit(
                 signature, lambda: self._diagnose(env)

@@ -32,8 +32,8 @@ import bisect
 import hashlib
 
 from repro.errors import FleetError
-from repro.fleet.metrics import FleetMetrics
-from repro.fleet.server import FleetServer
+from repro.fleet.server import FleetServer, format_signature
+from repro.obs import MetricsRegistry
 
 DEFAULT_VNODES = 128
 
@@ -49,7 +49,7 @@ def signature_for_failure(bug_id: str, failing_run) -> str:
     if code is None:
         raise FleetError("run did not fail; no signature to route")
     kind = code.report.kind if code.report is not None else "unknown"
-    return f"{bug_id}|{kind}|{code.failing_uid}"
+    return format_signature(bug_id, kind, code.failing_uid)
 
 
 class HashRing:
@@ -146,6 +146,8 @@ class ShardedFleet:
     ports, and write through to the same :class:`DiagnosisStore` — the
     multi-process deployment story with single-process testability.
     ``server_kwargs`` are forwarded to every shard's ``FleetServer``.
+    One shard is Figure 2's single diagnosis server; ``run_fleet``
+    drives every fleet, single-server or not, through this class.
     """
 
     def __init__(
@@ -153,7 +155,7 @@ class ShardedFleet:
         shards: int = 3,
         store=None,
         host: str = "127.0.0.1",
-        metrics: FleetMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         obs=None,
         vnodes: int = DEFAULT_VNODES,
         **server_kwargs,
@@ -161,7 +163,7 @@ class ShardedFleet:
         if shards < 1:
             raise FleetError("a sharded fleet needs at least one shard")
         self.store = store
-        self.metrics = metrics or FleetMetrics()
+        self.metrics = metrics or MetricsRegistry()
         self.obs = obs
         names = [f"shard-{i}" for i in range(shards)]
         self.router = ShardRouter(names, vnodes=vnodes)
@@ -213,39 +215,9 @@ class ShardedFleet:
         except KeyError:
             raise FleetError(f"shard {name!r} is not running") from None
 
-    def address_for(self, signature: str) -> tuple[str, int]:
-        return self.address_of(self.route(signature))
-
-    def server_for(self, signature: str) -> FleetServer:
-        return self.servers[self.route(signature)]
-
     @property
     def shard_names(self) -> list[str]:
         return self.router.shard_names
-
-    # -- always-on monitoring ----------------------------------------------
-
-    def fleet_status(self) -> dict:
-        """Aggregate health across shards: one merged agent table (rows
-        stamped with their shard), anomaly snapshots keyed by shard."""
-        agents: list[dict] = []
-        anomaly: dict[str, dict] = {}
-        diagnosed: dict[str, dict] = {}
-        for name, server in self.servers.items():
-            status = server.fleet_status()
-            agents.extend({**row, "shard": name} for row in status["agents"])
-            anomaly[name] = status["anomaly"]
-            diagnosed.update(status["diagnosed"])
-        return {"agents": agents, "anomaly": anomaly, "diagnosed": diagnosed}
-
-    def evidence_payload(self, key: str) -> dict | None:
-        """One evidence graph, whichever shard diagnosed it (the shared
-        store makes this a hit even after that shard was removed)."""
-        for server in self.servers.values():
-            payload = server.evidence_payload(key)
-            if payload is not None:
-                return payload
-        return None
 
     # -- membership --------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Fleet simulation: ≥50 endpoint agents over real localhost sockets.
 
 This is the repo's stand-in for the paper's production deployment: a
-:class:`FleetServer` in one thread, N :class:`FleetAgent` threads
-connected over TCP, each assigned a corpus bug.  A configurable subset
+:class:`ShardedFleet` of one or more :class:`FleetServer` shards (one
+shard is Figure 2's single diagnosis server), N :class:`FleetAgent`
+threads connected over TCP, each assigned a corpus bug.  A configurable subset
 of each bug's agents actually hits the bug and reports it (all
 endpoints of a bug fail the same way, so their signatures collide —
 that is the point: the dedup path is the common case in a fleet); the
@@ -22,11 +23,16 @@ from dataclasses import dataclass, field
 
 from repro.api import SchedulerPolicy
 from repro.errors import FleetError
-from repro.fleet.agent import FleetAgent
+from repro.fleet.agent import FleetAgent, MonitorLoop
 from repro.fleet.chaos import FaultPlan
-from repro.fleet.metrics import FleetMetrics
-from repro.fleet.server import FleetServer, render_digest
-from repro.obs import Observability, write_trace_jsonl
+from repro.fleet.server import render_digest
+from repro.fleet.shard import ShardedFleet, signature_for_failure
+from repro.obs import (
+    MetricsHTTPServer,
+    MetricsRegistry,
+    Observability,
+    write_trace_jsonl,
+)
 
 DEFAULT_BUGS = ("pbzip2-n/a", "memcached-271", "aget-2")
 
@@ -46,11 +52,10 @@ class FleetConfig:
     stability_window: int = 3
     adaptive_min_traces: int = 4
     host: str = "127.0.0.1"
-    port: int = 0  # 0: pick a free port
     timeout: float = 600.0
     # -- sharding & persistence --------------------------------------------
-    # >1: run that many FleetServer shards (consistent-hash routed by
-    # failure signature) instead of a single server
+    # FleetServer shards, consistent-hash routed by failure signature
+    # (1: a single server).  Monitoring and the dashboard need one.
     shards: int = 1
     # SQLite DiagnosisStore path; None: no persistence.  ":memory:" is
     # valid for tests.  Shards always share the one store.
@@ -291,206 +296,11 @@ class FleetRunResult:
 
 def run_fleet(
     config: FleetConfig | None = None,
-    metrics: FleetMetrics | None = None,
+    metrics: MetricsRegistry | None = None,
     caches=None,
 ) -> FleetRunResult:
-    """Run one fleet simulation.  Passing ``caches`` (a
-    :class:`~repro.core.cache.DiagnosisCaches`) keeps the server's
-    analysis/trace caches warm across runs — the warm-restart scenario
-    the cache benchmark measures."""
-    cfg = config or FleetConfig()
-    if cfg.agents < len(cfg.bug_ids):
-        raise FleetError("need at least one agent per bug")
-    if cfg.shards > 1:
-        return _run_sharded(cfg, metrics, caches)
-    from repro.corpus import bug as corpus_bug
-
-    specs = [corpus_bug(bug_id) for bug_id in cfg.bug_ids]
-    for spec in specs:
-        spec.module()  # build (and cache) before threads share it
-
-    store = None
-    if cfg.store_path is not None:
-        from repro.store import DiagnosisStore
-
-        store = DiagnosisStore(cfg.store_path)
-    metrics = metrics or FleetMetrics()
-    # tracing is opt-in: only build an enabled tracer when someone will
-    # consume the spans (a long-lived disabled fleet must not accumulate
-    # span memory).  The registry is always the shared fleet metrics.
-    obs = cfg.obs
-    if obs is None and (cfg.trace_out is not None or cfg.profile):
-        obs = Observability(registry=metrics, profile=cfg.profile)
-    server = FleetServer(
-        host=cfg.host,
-        port=cfg.port,
-        workers=cfg.workers,
-        max_pending=cfg.max_pending,
-        success_traces_wanted=cfg.success_traces_wanted,
-        metrics=metrics,
-        caches=caches,
-        enable_caches=cfg.cache_enabled,
-        stopping=cfg.stopping,
-        stability_window=cfg.stability_window,
-        adaptive_min_traces=cfg.adaptive_min_traces,
-        request_timeout=cfg.request_timeout,
-        trace_reply_timeout=cfg.trace_reply_timeout,
-        collection_deadline_s=cfg.collection_deadline_s,
-        min_success_traces=cfg.min_success_traces,
-        frame_timeout=cfg.frame_timeout,
-        obs=obs,
-        metrics_port=cfg.metrics_port,
-        store=store,
-        collection_policy=cfg.collection_policy,
-        validate=cfg.validate,
-        heartbeat_timeout_s=cfg.heartbeat_timeout_s,
-        dashboard_port=cfg.dashboard_port,
-    )
-    host, port = server.start()
-    metrics_url = (
-        server.metrics_server.url if server.metrics_server is not None else None
-    )
-    dashboard_url = server.dashboard.url if server.dashboard is not None else None
-
-    # an injected server restart mid-run: agents must reconnect, reporters
-    # must re-report, in-flight collections must reroute
-    restart_timer: threading.Timer | None = None
-    if cfg.chaos is not None and cfg.chaos.server_restart_after_s is not None:
-
-        def _restart_quietly() -> None:
-            try:
-                server.restart()
-            except FleetError:
-                pass  # the run finished first; nothing left to restart
-
-        restart_timer = threading.Timer(
-            cfg.chaos.server_restart_after_s, _restart_quietly
-        )
-        restart_timer.daemon = True
-        restart_timer.start()
-
-    stop = threading.Event()
-    outcomes: list[AgentOutcome] = []
-    per_bug_count: dict[str, int] = {}
-    assignments: list[tuple[object, bool]] = []
-    for i in range(cfg.agents):
-        spec = specs[i % len(specs)]
-        seen = per_bug_count.get(spec.bug_id, 0)
-        per_bug_count[spec.bug_id] = seen + 1
-        reporter = seen < cfg.reporters_per_bug
-        assignments.append((spec, reporter))
-        outcomes.append(AgentOutcome(f"agent-{i:03d}", spec.bug_id, reporter))
-
-    reporters_total = sum(1 for _, r in assignments if r)
-    state_lock = threading.Lock()
-    reporters_done = [0]
-
-    def agent_main(index: int) -> None:
-        spec, reporter = assignments[index]
-        outcome = outcomes[index]
-        engine = None
-        if cfg.chaos is not None and cfg.chaos.wraps_sockets:
-            engine = cfg.chaos.engine(outcome.agent_id)
-        agent = FleetAgent.from_spec(
-            outcome.agent_id,
-            spec,
-            host,
-            port,
-            fault_engine=engine,
-            reconnect_attempts=cfg.agent_reconnect_attempts,
-            frame_timeout=cfg.frame_timeout,
-        )
-        try:
-            agent.connect_resilient(stop)
-            if reporter:
-                try:
-                    result = agent.produce_and_report(stop)
-                    outcome.signature = result.signature
-                    outcome.digest = result.digest
-                finally:
-                    with state_lock:
-                        reporters_done[0] += 1
-            if cfg.monitoring:
-                from repro.fleet.agent import MonitorLoop
-
-                MonitorLoop(
-                    agent,
-                    heartbeat_interval_s=cfg.heartbeat_interval_s,
-                    sample_interval_s=cfg.sample_interval_s,
-                ).run(stop)
-            else:
-                agent.serve_until(stop)
-        except Exception as exc:  # recorded, never raised into the pool
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            outcome.trace_requests_served = agent.trace_requests_served
-            outcome.rejections = agent.rejections
-            outcome.reconnects = agent.reconnects
-            if engine is not None:
-                outcome.faults_injected = dict(engine.counts)
-                for fault, count in engine.counts.items():
-                    metrics.inc(f"chaos_{fault}", count)
-            agent.close()
-
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(target=agent_main, args=(i,), name=f"agent-{i:03d}")
-        for i in range(cfg.agents)
-    ]
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + cfg.timeout
-    try:
-        while time.monotonic() < deadline:
-            with state_lock:
-                if reporters_done[0] >= reporters_total:
-                    break
-            time.sleep(0.05)
-    finally:
-        elapsed = time.perf_counter() - started
-        stop.set()
-        if restart_timer is not None:
-            restart_timer.cancel()
-        for thread in threads:
-            thread.join(timeout=30)
-        prometheus_scrape = None
-        if server.metrics_server is not None:
-            from urllib.request import urlopen
-
-            try:
-                with urlopen(server.metrics_server.url, timeout=5) as resp:
-                    prometheus_scrape = resp.read().decode()
-            except OSError:
-                pass  # endpoint raced shutdown; the run itself succeeded
-        server.stop()
-        if store is not None:
-            store.close()
-
-    digests: dict[str, dict] = {}
-    for outcome in outcomes:
-        if outcome.signature is not None and outcome.digest is not None:
-            digests[outcome.signature] = outcome.digest
-    spans_written = 0
-    if cfg.trace_out is not None and obs is not None:
-        spans_written = write_trace_jsonl(cfg.trace_out, obs.tracer)
-    return FleetRunResult(
-        config=cfg,
-        elapsed=elapsed,
-        metrics=metrics.as_dict(),
-        outcomes=outcomes,
-        digests=digests,
-        spans_written=spans_written,
-        metrics_url=metrics_url,
-        dashboard_url=dashboard_url,
-        prometheus_scrape=prometheus_scrape,
-        obs=obs,
-    )
-
-
-def _run_sharded(
-    cfg: FleetConfig, metrics: FleetMetrics | None, caches
-) -> FleetRunResult:
-    """The ``shards > 1`` variant of :func:`run_fleet`.
+    """Run one fleet simulation over a :class:`ShardedFleet` of
+    ``config.shards`` servers; a single server is the one-shard fleet.
 
     Reporters route *themselves*: each finds its failure offline (no
     connection needed), computes the signature the server would, hashes
@@ -501,11 +311,16 @@ def _run_sharded(
     with whichever frontends exist.
 
     Chaos ``server_restart_after_s`` kills the shard that owns the
-    first routed signature (the one with in-flight work), which is the
-    shard-kill convergence scenario the acceptance test asserts on.
-    """
+    first routed signature (the one with in-flight work).  Passing
+    ``caches`` (a :class:`~repro.core.cache.DiagnosisCaches`) keeps the
+    servers' analysis/trace caches warm across runs — the warm-restart
+    scenario the cache benchmark measures."""
+    cfg = config or FleetConfig()
+    if cfg.agents < len(cfg.bug_ids):
+        raise FleetError("need at least one agent per bug")
+    if cfg.shards > 1 and (cfg.monitoring or cfg.dashboard_port is not None):
+        raise FleetError("monitoring and the dashboard need a single shard")
     from repro.corpus import bug as corpus_bug
-    from repro.fleet.shard import ShardedFleet, signature_for_failure
 
     specs = [corpus_bug(bug_id) for bug_id in cfg.bug_ids]
     for spec in specs:
@@ -516,7 +331,10 @@ def _run_sharded(
         from repro.store import DiagnosisStore
 
         store = DiagnosisStore(cfg.store_path)
-    metrics = metrics or FleetMetrics()
+    metrics = metrics or MetricsRegistry()
+    # tracing is opt-in: only build an enabled tracer when someone will
+    # consume the spans (a long-lived disabled fleet must not accumulate
+    # span memory).  The registry is always the shared fleet metrics.
     obs = cfg.obs
     if obs is None and (cfg.trace_out is not None or cfg.profile):
         obs = Observability(registry=metrics, profile=cfg.profile)
@@ -542,16 +360,19 @@ def _run_sharded(
         collection_policy=cfg.collection_policy,
         validate=cfg.validate,
         heartbeat_timeout_s=cfg.heartbeat_timeout_s,
+        dashboard_port=cfg.dashboard_port,
     )
     addresses = fleet.start()
-    metrics_server = None
+    # a dashboard implies exactly one shard (checked above)
+    dashboard = fleet.servers[fleet.shard_names[0]].dashboard
+    # one Prometheus endpoint over the shared registry, however many
+    # shards record into it
+    prometheus = None
     if cfg.metrics_port is not None:
-        from repro.obs import MetricsHTTPServer
-
-        metrics_server = MetricsHTTPServer(
+        prometheus = MetricsHTTPServer(
             metrics, host=cfg.host, port=cfg.metrics_port
         )
-        metrics_server.start()
+        prometheus.start()
 
     stop = threading.Event()
     outcomes: list[AgentOutcome] = []
@@ -570,83 +391,77 @@ def _run_sharded(
     reporters_done = [0]
     routed: dict[str, str] = {}  # signature -> owning shard name
 
-    def _engine_for(endpoint_id: str):
-        if cfg.chaos is not None and cfg.chaos.wraps_sockets:
-            return cfg.chaos.engine(endpoint_id)
-        return None
+    def endpoint_id(agent_id: str, shard_name: str | None) -> str:
+        # one shard keeps the plain agent id, so FaultPlan.engine seeds
+        # the same fault stream as a single-server deployment would
+        if shard_name is None or cfg.shards == 1:
+            return agent_id
+        return f"{agent_id}@{shard_name}"
 
-    def _account(outcome: AgentOutcome, agent: FleetAgent, engine) -> None:
-        with state_lock:
-            outcome.trace_requests_served += agent.trace_requests_served
-            outcome.rejections += agent.rejections
-            outcome.reconnects += agent.reconnects
-        if engine is not None:
-            for fault, count in engine.counts.items():
-                metrics.inc(f"chaos_{fault}", count)
-
-    def reporter_main(index: int) -> None:
-        spec, _ = assignments[index]
+    def agent_main(index: int, shard_name: str | None) -> None:
+        """One endpoint: a reporter (``shard_name`` None: it routes
+        itself) or a population endpoint's connection to one shard."""
+        spec, reporter = assignments[index]
         outcome = outcomes[index]
-        engine = _engine_for(outcome.agent_id)
+        name = endpoint_id(outcome.agent_id, shard_name)
+        engine = None
+        if cfg.chaos is not None and cfg.chaos.wraps_sockets:
+            engine = cfg.chaos.engine(name)
         agent = FleetAgent.from_spec(
-            outcome.agent_id,
+            name,
             spec,
             cfg.host,
-            0,  # placeholder; the route decides the real address
+            0,  # placeholder; the route (or shard_name) decides
             fault_engine=engine,
             reconnect_attempts=cfg.agent_reconnect_attempts,
             frame_timeout=cfg.frame_timeout,
         )
         try:
-            try:
-                failing_run = agent.find_failure()
-                signature = signature_for_failure(spec.bug_id, failing_run)
-                shard_name = fleet.route(signature)
-                with state_lock:
-                    routed.setdefault(signature, shard_name)
+            if reporter:
+                try:
+                    failing_run = agent.find_failure()
+                    signature = signature_for_failure(spec.bug_id, failing_run)
+                    shard_name = fleet.route(signature)
+                    with state_lock:
+                        routed.setdefault(signature, shard_name)
+                    agent.host, agent.port = addresses[shard_name]
+                    agent.connect_resilient(stop)
+                    result = agent.report_failure(failing_run, stop=stop)
+                    outcome.signature = result.signature
+                    outcome.digest = result.digest
+                finally:
+                    with state_lock:
+                        reporters_done[0] += 1
+            else:
                 agent.host, agent.port = addresses[shard_name]
                 agent.connect_resilient(stop)
-                result = agent.report_failure(failing_run, stop=stop)
-                outcome.signature = result.signature
-                outcome.digest = result.digest
-            finally:
-                with state_lock:
-                    reporters_done[0] += 1
-            agent.serve_until(stop)
+            if cfg.monitoring:
+                MonitorLoop(
+                    agent,
+                    heartbeat_interval_s=cfg.heartbeat_interval_s,
+                    sample_interval_s=cfg.sample_interval_s,
+                ).run(stop)
+            else:
+                agent.serve_until(stop)
         except Exception as exc:  # recorded, never raised into the pool
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            _account(outcome, agent, engine)
-            if engine is not None:
-                outcome.faults_injected = dict(engine.counts)
-            agent.close()
-
-    def population_main(index: int, shard_name: str) -> None:
-        spec, _ = assignments[index]
-        outcome = outcomes[index]
-        endpoint_id = f"{outcome.agent_id}@{shard_name}"
-        engine = _engine_for(endpoint_id)
-        host, port = addresses[shard_name]
-        agent = FleetAgent.from_spec(
-            endpoint_id,
-            spec,
-            host,
-            port,
-            fault_engine=engine,
-            reconnect_attempts=cfg.agent_reconnect_attempts,
-            frame_timeout=cfg.frame_timeout,
-        )
-        try:
-            agent.connect_resilient(stop)
-            agent.serve_until(stop)
-        except Exception as exc:
             with state_lock:
                 if outcome.error is None:
                     outcome.error = f"{type(exc).__name__}: {exc}"
         finally:
-            _account(outcome, agent, engine)
+            with state_lock:
+                outcome.trace_requests_served += agent.trace_requests_served
+                outcome.rejections += agent.rejections
+                outcome.reconnects += agent.reconnects
+                if engine is not None:
+                    for fault, count in engine.counts.items():
+                        outcome.faults_injected[fault] = (
+                            outcome.faults_injected.get(fault, 0) + count
+                        )
+                        metrics.inc(f"chaos_{fault}", count)
             agent.close()
 
+    # an injected shard kill mid-run: agents must reconnect, reporters
+    # must re-report, in-flight collections must reroute
     restart_timer: threading.Timer | None = None
     if cfg.chaos is not None and cfg.chaos.server_restart_after_s is not None:
 
@@ -666,21 +481,15 @@ def _run_sharded(
 
     threads: list[threading.Thread] = []
     for i, (_, reporter) in enumerate(assignments):
-        if reporter:
-            threads.append(
-                threading.Thread(
-                    target=reporter_main, args=(i,), name=f"agent-{i:03d}"
-                )
+        shard_names = [None] if reporter else fleet.shard_names
+        threads.extend(
+            threading.Thread(
+                target=agent_main,
+                args=(i, shard_name),
+                name=endpoint_id(f"agent-{i:03d}", shard_name),
             )
-        else:
-            threads.extend(
-                threading.Thread(
-                    target=population_main,
-                    args=(i, shard_name),
-                    name=f"agent-{i:03d}@{shard_name}",
-                )
-                for shard_name in fleet.shard_names
-            )
+            for shard_name in shard_names
+        )
 
     started = time.perf_counter()
     for thread in threads:
@@ -700,17 +509,15 @@ def _run_sharded(
         for thread in threads:
             thread.join(timeout=30)
         prometheus_scrape = None
-        metrics_url = None
-        if metrics_server is not None:
+        if prometheus is not None:
             from urllib.request import urlopen
 
-            metrics_url = metrics_server.url
             try:
-                with urlopen(metrics_server.url, timeout=5) as resp:
+                with urlopen(prometheus.url, timeout=5) as resp:
                     prometheus_scrape = resp.read().decode()
             except OSError:
                 pass  # endpoint raced shutdown; the run itself succeeded
-            metrics_server.stop()
+            prometheus.stop()
         fleet.stop()
         if store is not None:
             store.close()
@@ -729,7 +536,8 @@ def _run_sharded(
         outcomes=outcomes,
         digests=digests,
         spans_written=spans_written,
-        metrics_url=metrics_url,
+        metrics_url=prometheus.url if prometheus is not None else None,
+        dashboard_url=dashboard.url if dashboard is not None else None,
         prometheus_scrape=prometheus_scrape,
         obs=obs,
     )

@@ -10,8 +10,8 @@ This package is that answer, threaded through every layer:
   cost when disabled) covering the five pipeline stages, fleet
   collection round-trips, job-queue wait, and cache lookups;
 * :class:`~repro.obs.registry.MetricsRegistry` — the process-wide
-  counters/gauges/histograms surface that unifies the legacy
-  ``FleetMetrics`` / ``SolverStats`` / ``CacheStats`` vocabularies;
+  counters/gauges/histograms surface the fleet records into and the
+  ``SolverStats`` / ``CacheStats`` vocabularies are absorbed into;
 * :mod:`~repro.obs.exporters` — JSONL span logs, Prometheus text
   format (+ HTTP scrape endpoint), and the per-job flight recorder;
 * :class:`~repro.obs.profiler.SamplingProfiler` — optional per-job

@@ -144,8 +144,10 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 class MetricsHTTPServer:
     """A tiny scrape endpoint: ``GET /metrics`` serves the registry.
 
-    The fleet server starts one when given ``metrics_port`` (0 picks a
-    free port); ``port`` reports the bound port after :meth:`start`.
+    The fleet simulation runner starts one over the shared registry of
+    all its shards when given ``metrics_port`` (``--metrics-port``; 0
+    picks a free port); ``port`` reports the bound port after
+    :meth:`start`.
     """
 
     def __init__(

@@ -1,24 +1,71 @@
 """The process-wide metrics registry: one naming surface for the stack.
 
-Before ``repro.obs`` existed the reproduction had three disjoint ad-hoc
-metric surfaces: ``repro.fleet.metrics.FleetMetrics`` (service
-counters/timers), ``repro.core.andersen.SolverStats`` (solver work
-counts), and ``repro.core.cache.CacheStats`` (hit/miss/eviction).  The
-:class:`MetricsRegistry` unifies them: counters, gauges, and histograms
-under one snake_case vocabulary, with ``percentile()`` and
-``counters_with_prefix()`` everywhere, absorbed from the legacy stats
-objects via :meth:`absorb_solver_stats` / :meth:`absorb_cache_stats`
-(the legacy classes keep their read surface — see their modules).
+The :class:`MetricsRegistry` is the one metric surface of the stack:
+counters, gauges, and histograms under one snake_case vocabulary, with
+``percentile()`` and ``counters_with_prefix()`` everywhere.  The solver
+and cache stats objects (``repro.core.andersen.SolverStats``,
+``repro.core.cache.CacheStats``) are absorbed via
+:meth:`absorb_solver_stats` / :meth:`absorb_cache_stats` (they keep
+their own read surface — see their modules); the fleet service, job
+queue, and pipeline stages record here directly.
 
 Metric name vocabulary (prefix -> owner):
 
 * ``solver_*`` — points-to solver work (propagations, SCC collapses…);
-* ``analysis_cache_*`` / ``trace_cache_*`` — diagnosis cache health;
+* ``analysis_cache_*`` / ``trace_cache_*`` — diagnosis cache health
+  (unified with :class:`~repro.core.cache.CacheStats`);
 * ``stage_*`` (histograms) — per-pipeline-stage wall time;
-* ``jobs_*`` / ``queue_*`` — diagnosis job queue;
-* ``trace_request*`` / ``agents_*`` / ``chaos_*`` — fleet service and
-  resilience counters (documented in :mod:`repro.fleet.metrics`);
-* ``digest_mismatches`` — fleet vs. in-process verification failures.
+* ``digest_mismatches`` — fleet digests that diverged from the
+  in-process diagnosis (the fleet demo's correctness tripwire).
+
+Fleet service counters:
+
+* ``failures_received`` / ``diagnoses_completed`` / ``jobs_*`` /
+  ``queue_*`` — the intake funnel and diagnosis job queue (submitted,
+  deduplicated, rejected, completed, failed);
+* ``trace_requests_sent`` / ``trace_responses_received`` /
+  ``traces_collected`` — step-8 collection volume;
+* ``store_*`` / ``diagnoses_from_store`` — the persistent store, and
+  failure reports answered from it without a pipeline run;
+* ``shard_routes`` / ``shard_routes_<shard>`` / ``shard_kills`` /
+  ``shards_removed`` — signature placement and shard membership.
+
+Fleet resilience counters (all zero on a polite network):
+
+* ``wire_errors`` — frames the server could not decode (corruption);
+* ``trace_request_timeouts`` — an endpoint held a request past the
+  reply timeout and the request was rerouted;
+* ``trace_request_reroutes`` — requests re-sent after a connection
+  error mid-flight;
+* ``trace_requests_abandoned`` / ``trace_requests_failed`` — requests
+  whose whole wall-clock budget expired (no endpoint answered at all);
+* ``orphan_trace_responses`` — late answers to already-rerouted
+  requests (dropped; the rerouted run was deterministic in the seed);
+* ``agents_superseded`` — connections retired by a duplicate/newer
+  ``Hello`` for the same agent id;
+* ``result_delivery_failures`` — finished diagnoses that could not be
+  written back to a reporter (it vanished before delivery);
+* ``degraded_collections`` — diagnoses that ran with fewer successful
+  traces than wanted because collection gave up (deadline or attempt
+  cap), recorded by the diagnosis session in and out of the fleet;
+* ``jobs_failed`` — diagnosis jobs that raised (evicted for retry);
+* ``server_restarts`` — injected/administrative full restarts;
+* ``agents_evicted_stale`` — connections evicted by the liveness
+  monitor after missing heartbeats past ``heartbeat_timeout_s``;
+* ``chaos_*`` — faults the simulation's ``FaultPlan`` injected
+  (``chaos_corrupted``, ``chaos_dropped``, ``chaos_truncated``,
+  ``chaos_crashes``, ``chaos_delayed``, ``chaos_inbound_corrupted``).
+
+Always-on monitoring counters:
+
+* ``heartbeats_received`` — liveness beacons from monitor loops;
+* ``monitor_samples_received`` / ``monitor_failures_seen`` — sampled
+  executions streamed by monitor loops, and how many carried failures;
+* ``anomaly_triggers`` — detector trips that started (or fetched) a
+  diagnosis unprompted; ``anomaly_rejected`` counts trips bounced by
+  queue backpressure (the detector re-trips next window);
+* ``evidence_graphs_built`` — provenance DAGs recorded for finished
+  diagnoses (queryable via the dashboard's ``/api/evidence``).
 
 Histograms are stored as raw observation lists ("timers" in the export
 snapshot, for backward compatibility with the fleet dashboards/tests

@@ -17,12 +17,12 @@ from repro.fleet import (
     FaultPlan,
     FleetAgent,
     FleetConfig,
-    FleetMetrics,
     FleetServer,
     report_digest,
     run_fleet,
 )
 from repro.ir import parse_module
+from repro.obs import MetricsRegistry
 from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
 from tests.runtime.test_client_server import SRC, _workload
@@ -110,7 +110,7 @@ def chaos_run():
         trace_reply_timeout=2.0,
         frame_timeout=5.0,
     )
-    return run_fleet(config, metrics=FleetMetrics())
+    return run_fleet(config, metrics=MetricsRegistry())
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ def test_batched_collection_survives_drop_and_delay(in_process_digests):
         trace_reply_timeout=2.0,
         frame_timeout=5.0,
     )
-    result = run_fleet(config, metrics=FleetMetrics())
+    result = run_fleet(config, metrics=MetricsRegistry())
     assert not [o for o in result.outcomes if o.error]
     counters = result.metrics["counters"]
     assert counters.get("trace_batches_sent", 0) > 0
@@ -229,7 +229,7 @@ def test_sharded_chaos_fleet_validation_matches_in_process():
         trace_reply_timeout=2.0,
         frame_timeout=5.0,
     )
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     result = run_fleet(config, metrics=metrics)
     assert not [o for o in result.outcomes if o.error]
     assert len(result.digests) == len(BUGS)
@@ -267,7 +267,7 @@ def custom_module():
 def test_degraded_collection_is_flagged_not_failed(custom_module):
     # one endpoint, 25 traces wanted, a deadline far too short: the
     # diagnosis must run with what arrived and say so
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     server = FleetServer(
         module_resolver=lambda bug_id: custom_module,
         workers=1,
@@ -299,7 +299,7 @@ def _fleet_digest(custom_module, **server_kwargs) -> dict:
     server = FleetServer(
         module_resolver=lambda bug_id: custom_module,
         workers=1,
-        metrics=FleetMetrics(),
+        metrics=MetricsRegistry(),
         **server_kwargs,
     )
     host, port = server.start()
@@ -352,7 +352,7 @@ def test_in_process_degraded_collection_is_stamped_like_the_fleet(
 
 
 def test_fault_free_fleet_digest_is_not_degraded(custom_module):
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     server = FleetServer(
         module_resolver=lambda bug_id: custom_module, workers=1, metrics=metrics
     )

@@ -15,12 +15,12 @@ from repro.corpus import bug
 from repro.fleet import (
     FleetAgent,
     FleetConfig,
-    FleetMetrics,
     FleetServer,
     report_digest,
     run_fleet,
 )
 from repro.ir import parse_module
+from repro.obs import MetricsRegistry
 from repro.runtime import SnorlaxClient, SnorlaxServer
 
 from tests.runtime.test_client_server import SRC, _workload
@@ -75,7 +75,7 @@ def fleet_caches():
 
 @pytest.fixture(scope="module")
 def fleet_run(fleet_caches):
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     config = FleetConfig(
         agents=50, bug_ids=BUGS, reporters_per_bug=3, workers=3, max_pending=8
     )
@@ -162,7 +162,7 @@ def test_recurring_failures_reuse_collected_evidence(fleet_run, fleet_caches):
     config = FleetConfig(
         agents=12, bug_ids=BUGS, reporters_per_bug=1, workers=3
     )
-    again = run_fleet(config, metrics=FleetMetrics(), caches=fleet_caches)
+    again = run_fleet(config, metrics=MetricsRegistry(), caches=fleet_caches)
     assert again.digests == fleet_run.digests
     counters = again.metrics["counters"]
     assert counters.get("evidence_cache_hits", 0) == len(BUGS)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.fleet.jobs import DiagnosisJobQueue, JobRejected, QueueClosed
-from repro.fleet.metrics import FleetMetrics
+from repro.obs import MetricsRegistry
 
 
 def test_identical_signatures_run_once():
@@ -87,7 +87,7 @@ def test_backpressure_recovers_after_drain():
 
 
 def test_shutdown_drains_in_flight_jobs():
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     queue = DiagnosisJobQueue(workers=2, max_pending=8, metrics=metrics)
     started = threading.Event()
 
@@ -112,7 +112,7 @@ def test_shutdown_refuses_new_jobs():
 
 
 def test_queue_depth_gauge_tracks_pending():
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     queue = DiagnosisJobQueue(workers=1, max_pending=4, metrics=metrics)
     gate = threading.Event()
     queue.submit("a", lambda: gate.wait(10))
@@ -202,7 +202,7 @@ def test_completion_listener_fires_for_successes_only():
 
 
 def test_completion_listener_errors_are_counted_not_raised():
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     queue = DiagnosisJobQueue(workers=1, max_pending=4, metrics=metrics)
 
     def angry_listener(signature, result):

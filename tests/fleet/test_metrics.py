@@ -1,12 +1,12 @@
-"""FleetMetrics: counters, timers, snapshot rendering."""
+"""The fleet's MetricsRegistry: counters, timers, snapshot rendering."""
 
 import threading
 
-from repro.fleet.metrics import FleetMetrics
+from repro.obs import MetricsRegistry
 
 
 def test_counters_accumulate():
-    m = FleetMetrics()
+    m = MetricsRegistry()
     m.inc("failures_received")
     m.inc("failures_received", 4)
     assert m.counter("failures_received") == 5
@@ -14,7 +14,7 @@ def test_counters_accumulate():
 
 
 def test_counters_thread_safe():
-    m = FleetMetrics()
+    m = MetricsRegistry()
 
     def bump():
         for _ in range(1000):
@@ -29,7 +29,7 @@ def test_counters_thread_safe():
 
 
 def test_timer_context_manager_records():
-    m = FleetMetrics()
+    m = MetricsRegistry()
     with m.timer("diagnosis_latency"):
         pass
     with m.timer("diagnosis_latency"):
@@ -41,7 +41,7 @@ def test_timer_context_manager_records():
 
 
 def test_as_dict_and_render():
-    m = FleetMetrics()
+    m = MetricsRegistry()
     m.inc("failures_received", 3)
     m.gauge("queue_depth", 2)
     m.observe("analysis_latency", 0.25)

@@ -20,13 +20,13 @@ import pytest
 from repro.fleet import (
     DiagnosisJobQueue,
     FleetAgent,
-    FleetMetrics,
     FleetServer,
     Hello,
 )
 from repro.fleet.server import AgentConn
 from repro.fleet.wire import recv_frame_sock, send_frame_sock
 from repro.ir import parse_module
+from repro.obs import MetricsRegistry
 from repro.runtime.protocol import TraceRequest
 
 from tests.runtime.test_client_server import SRC, _workload
@@ -43,7 +43,7 @@ def _server(custom_module, **kwargs):
     server = FleetServer(
         module_resolver=lambda bug_id: custom_module,
         workers=1,
-        metrics=FleetMetrics(),
+        metrics=MetricsRegistry(),
         **kwargs,
     )
     server.start()
@@ -182,7 +182,7 @@ def test_no_endpoint_at_all_fails_with_backoff_not_spin(custom_module):
 
 
 def test_failed_job_is_evicted_so_a_rereport_retries():
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     queue = DiagnosisJobQueue(workers=1, metrics=metrics)
     try:
         attempts = []

@@ -22,7 +22,6 @@ from repro.corpus import bug
 from repro.fleet import (
     FleetAgent,
     FleetConfig,
-    FleetMetrics,
     FleetServer,
     ShardedFleet,
     report_digest,
@@ -30,6 +29,7 @@ from repro.fleet import (
 )
 from repro.fleet.chaos import FaultPlan
 from repro.ir import parse_module
+from repro.obs import MetricsRegistry
 from repro.runtime import SnorlaxClient, SnorlaxServer
 from repro.store import DiagnosisStore
 
@@ -54,7 +54,7 @@ def _report_once(module, host, port, agent_id, stop):
 
 def test_same_signature_on_two_shards_diagnoses_once(custom_module):
     store = DiagnosisStore()
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     fleet = ShardedFleet(
         shards=2,
         store=store,
@@ -92,7 +92,7 @@ def test_warm_restart_skips_stored_signatures(custom_module, tmp_path):
     stop = threading.Event()
 
     store_cold = DiagnosisStore(path)
-    cold_metrics = FleetMetrics()
+    cold_metrics = MetricsRegistry()
     server = FleetServer(
         module_resolver=resolver,
         store=store_cold,
@@ -112,7 +112,7 @@ def test_warm_restart_skips_stored_signatures(custom_module, tmp_path):
     # same file — the stored signature must not be re-diagnosed
     store_warm = DiagnosisStore(path)
     assert store_warm.counts()["reports"] == 1
-    warm_metrics = FleetMetrics()
+    warm_metrics = MetricsRegistry()
     server = FleetServer(
         module_resolver=resolver,
         store=store_warm,
@@ -138,7 +138,7 @@ def test_shard_kill_restart_keeps_serving(custom_module):
     # kill a shard in place mid-session: agents reconnect and the next
     # report of a stored signature is still served, digest unchanged
     store = DiagnosisStore()
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     fleet = ShardedFleet(
         shards=2,
         store=store,
@@ -172,7 +172,7 @@ def test_shard_kill_restart_keeps_serving(custom_module):
 
 def test_remove_shard_rebalances_and_store_covers_moved_keys(custom_module):
     store = DiagnosisStore()
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     fleet = ShardedFleet(
         shards=3,
         store=store,
@@ -218,7 +218,7 @@ def test_remove_shard_rebalances_and_store_covers_moved_keys(custom_module):
 @pytest.fixture(scope="module")
 def sharded_chaos_run(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("store") / "fleet.db")
-    metrics = FleetMetrics()
+    metrics = MetricsRegistry()
     config = FleetConfig(
         agents=8,
         bug_ids=("pbzip2-n/a", "memcached-271"),

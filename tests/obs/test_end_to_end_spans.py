@@ -8,9 +8,9 @@ import pytest
 from repro import api
 from repro.core.pipeline import LazyDiagnosis
 from repro.errors import DiagnosisError
-from repro.fleet import DiagnosisJobQueue, FleetMetrics
+from repro.fleet import DiagnosisJobQueue
 from repro.ir import parse_module
-from repro.obs import NULL_TRACER, Observability, Tracer
+from repro.obs import NULL_TRACER, MetricsRegistry, Observability, Tracer
 from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
 FIVE = CollectionPolicy(success_traces_wanted=5)
@@ -193,7 +193,7 @@ def test_diagnose_failure_shim_is_gone():
 def test_job_queue_emits_fleet_job_spans():
     tracer = Tracer()
     queue = DiagnosisJobQueue(
-        workers=1, metrics=FleetMetrics(), tracer=tracer
+        workers=1, metrics=MetricsRegistry(), tracer=tracer
     )
     try:
         future, deduplicated = queue.submit("pbzip2|sig", lambda: 42)
