@@ -27,6 +27,12 @@ from repro.errors import FleetError
 from repro.obs import MetricsRegistry
 
 
+def _settled(result: object) -> Future:
+    future: Future = Future()
+    future.set_result(result)
+    return future
+
+
 class JobRejected(FleetError):
     """Backpressure: the bounded queue is full; retry after a delay."""
 
@@ -149,12 +155,19 @@ class DiagnosisJobQueue:
             if failed:
                 # don't poison the signature: a re-report retries
                 self._futures.pop(signature, None)
+            elif future is not None:
+                # cache a settled copy: the job's own future keeps every
+                # done-callback registered on it (closures over the
+                # server), which would otherwise live as long as the cache
+                self._futures[signature] = _settled(future.result())
             # the submit timestamp served its purpose (queue_wait); keeping
             # it for successful jobs would grow without bound alongside the
             # intentional _futures result cache
             self._submitted.pop(signature, None)
             self.metrics.gauge("queue_depth", len(self._pending))
             listeners = list(self._listeners) if not failed else ()
+            if self._closed and not self._pending:
+                self._listeners.clear()  # closed and idle: nothing left to announce
         self.metrics.inc("jobs_failed" if failed else "jobs_completed")
         if listeners:
             result = future.result()
@@ -196,4 +209,8 @@ class DiagnosisJobQueue:
         """Stop intake; with ``wait`` drain every in-flight diagnosis."""
         with self._lock:
             self._closed = True
+            if not self._pending:
+                # listeners are bound methods of their owner (the fleet
+                # server): drop them once no job can announce a result
+                self._listeners.clear()
         self._pool.shutdown(wait=wait)

@@ -424,6 +424,8 @@ class FleetServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # its protocol factory closes over _handle_conn, i.e. over self
+            self._server = None
 
     async def _close_agents(self) -> None:
         for conns in self._agents.values():

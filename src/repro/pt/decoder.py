@@ -47,14 +47,14 @@ from repro.ir.module import Module
 from repro.ir.values import FunctionRef
 from repro.pt.packets import (
     FupPacket,
-    MtcPacket,
+    MtcRunPacket,
     Packet,
     PsbPacket,
     TipPacket,
     TntPacket,
     TscPacket,
     find_psb,
-    parse_packets,
+    parse_runs,
 )
 
 _MAX_DECODED = 10_000_000
@@ -120,7 +120,7 @@ def decode_thread_trace(
         trace.desync = True
         return trace
     trace.truncated = sync > 0
-    packets = list(parse_packets(data, sync))
+    packets = list(parse_runs(data, sync))
     if not packets:
         trace.desync = True
         return trace
@@ -188,7 +188,7 @@ class _Walker:
         while self.idx < len(self.packets):
             pkt = self.packets[self.idx]
             self.idx += 1
-            if isinstance(pkt, MtcPacket):
+            if isinstance(pkt, MtcRunPacket):
                 self._on_mtc(pkt)
                 continue
             if isinstance(pkt, TscPacket):
@@ -211,7 +211,7 @@ class _Walker:
         """Consume the TSC + FUP that follow a mid-stream PSB."""
         while self.idx < len(self.packets):
             pkt = self.packets[self.idx]
-            if isinstance(pkt, MtcPacket):
+            if isinstance(pkt, MtcRunPacket):
                 self._on_mtc(pkt)
             elif isinstance(pkt, TscPacket):
                 self._on_time(pkt.time, exact=True)
@@ -230,21 +230,34 @@ class _Walker:
             rec[2] = max(time, rec[1])
         self._first_open = self._first_unsealed
 
-    def _on_mtc(self, pkt: MtcPacket) -> None:
+    def _on_mtc(self, pkt: MtcRunPacket) -> None:
         # Counter is the low 8 bits of (time // period).  The period is
         # not in the stream; we infer absolute time by tracking the
-        # period index implied by the last TSC/MTC.
+        # period index implied by the last TSC/MTC.  A run's first tick
+        # may jump any distance (1..256 periods); each later one steps by
+        # exactly one, so the run is ticks first .. first + count - 1.
+        self.trace.timing_packets += pkt.count
         if self.last_period is None:
             # MTC before any TSC: unusable for absolute time; skip.
-            self.trace.timing_packets += 1
             return
         delta = (pkt.counter - (self.last_period & 0xFF)) & 0xFF
         if delta == 0:
             delta = 256
-        self.last_period += delta
-        if self.period_guess:
-            self._on_time(self.last_period * self.period_guess, exact=False)
-        self.trace.timing_packets += 1
+        first = self.last_period + delta
+        self.last_period = first + pkt.count - 1
+        period = self.period_guess
+        if not period:
+            return
+        # ticks below t_lo carry no information; the first one at or
+        # above it closes the sealed records, later ones only raise t_lo
+        first = max(first, -(-self.t_lo // period))
+        if first > self.last_period:
+            return
+        self._close_sealed(first * period)
+        self.t_lo = self.last_period * period
+        self.trace.timing_times.extend(
+            range(first * period, self.t_lo + 1, period)
+        )
 
     def _on_time(self, time: int, exact: bool) -> None:
         if exact:
@@ -271,7 +284,7 @@ class _Walker:
                 self._on_time(time, exact=True)
             elif isinstance(pkt, FupPacket) and anchor is None:
                 anchor = pkt.uid
-            elif isinstance(pkt, MtcPacket):
+            elif isinstance(pkt, MtcRunPacket):
                 self._on_mtc(pkt)
             else:
                 raise TraceDecodeError(
@@ -419,7 +432,7 @@ class _Walker:
         # test below sees whether any *control* information remains.
         while self.idx < len(self.packets):
             pkt = self.packets[self.idx]
-            if isinstance(pkt, MtcPacket):
+            if isinstance(pkt, MtcRunPacket):
                 self._on_mtc(pkt)
             elif isinstance(pkt, TscPacket):
                 self._on_time(pkt.time, exact=True)
@@ -444,7 +457,7 @@ class _Walker:
         skip_fup = False
         while i < len(self.packets):
             pkt = self.packets[i]
-            if isinstance(pkt, (MtcPacket, TscPacket)):
+            if isinstance(pkt, (MtcRunPacket, TscPacket)):
                 i += 1
                 continue
             if isinstance(pkt, PsbPacket):
@@ -468,7 +481,7 @@ class _Walker:
         skip_fup = False
         while i < len(self.packets):
             pkt = self.packets[i]
-            if isinstance(pkt, (MtcPacket, TscPacket)):
+            if isinstance(pkt, (MtcRunPacket, TscPacket)):
                 i += 1
                 continue
             if isinstance(pkt, PsbPacket):

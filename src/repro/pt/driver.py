@@ -32,10 +32,15 @@ class TraceSnapshot:
     time: int
     buffers: dict[int, bytes] = field(default_factory=dict)  # tid -> bytes
     positions: dict[int, int] = field(default_factory=dict)  # tid -> stop uid
+    mtc_period_ns: int = TraceConfig.mtc_period_ns  # the tracing driver's
 
-    def decode(self, module, mtc_period_ns: int = 4096) -> dict[int, ThreadTrace]:
+    def decode(
+        self, module, mtc_period_ns: int | None = None
+    ) -> dict[int, ThreadTrace]:
+        """Decode every thread, by default at the period it was traced with."""
+        period = self.mtc_period_ns if mtc_period_ns is None else mtc_period_ns
         return {
-            tid: decode_thread_trace(module, data, tid, mtc_period_ns)
+            tid: decode_thread_trace(module, data, tid, period)
             for tid, data in self.buffers.items()
         }
 
@@ -128,7 +133,7 @@ class PTDriver:
             return None
         if self.snapshot is not None:
             return self.snapshot
-        snap = TraceSnapshot(reason, time)
+        snap = TraceSnapshot(reason, time, mtc_period_ns=self.config.mtc_period_ns)
         for tid, enc in self.encoders.items():
             stop = positions.get(tid, 0)
             snap.buffers[tid] = enc.snapshot_bytes(time, stop)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.pt.packets import (
     TNT_MAX_BITS,
     encode_fup,
-    encode_mtc,
+    encode_mtc_run,
     encode_psb,
     encode_tip,
     encode_tnt,
@@ -178,14 +178,7 @@ class ThreadEncoder:
             # a single TSC stands in for the MTC run.
             cost += self._emit_timing(encode_tsc(last * period))
         elif n_boundaries > 0:
-            chunk = bytearray()
-            for k in range(n_boundaries):
-                chunk += encode_mtc(first + k)
-            self.ring.write(bytes(chunk))
-            self._bytes_since_psb += len(chunk)
-            self.stats.timing_packets += n_boundaries
-            self.stats.timing_bytes += len(chunk)
-            cost += len(chunk) * self.config.per_byte_cost_ns
+            cost += self._emit_mtc_run(first, n_boundaries)
         if n_boundaries > 0:
             cost += int(
                 n_boundaries * self.config.per_packet_mgmt_ns * max(0, live_threads - 1)
@@ -276,6 +269,19 @@ class ThreadEncoder:
         self.stats.timing_bytes += len(data)
         return self._emit(data)
 
+    def _emit_mtc_run(self, first_period: int, count: int) -> int:
+        """MTC ticks for periods ``first_period .. + count - 1``, in closed
+        form: only the bytes that can survive in the ring are built, and
+        the rest is accounted arithmetically (2 bytes per tick)."""
+        size = 2 * count
+        self.ring.write_tail(
+            encode_mtc_run(first_period, count, self.ring.capacity), size
+        )
+        self._bytes_since_psb += size
+        self.stats.timing_packets += count
+        self.stats.timing_bytes += size
+        return size * self.config.per_byte_cost_ns
+
     def _flush_tnt(self) -> int:
         if not self._pending_tnt:
             return 0
@@ -299,14 +305,7 @@ class ThreadEncoder:
         if gap > self.config.tsc_resync_periods:
             cost += self._emit_timing(encode_tsc(time))
         else:
-            chunk = bytearray()
-            for p in range(self._last_period + 1, cur + 1):
-                chunk += encode_mtc(p)
-            self.ring.write(bytes(chunk))
-            self._bytes_since_psb += len(chunk)
-            self.stats.timing_packets += gap
-            self.stats.timing_bytes += len(chunk)
-            cost += len(chunk) * self.config.per_byte_cost_ns
+            cost += self._emit_mtc_run(self._last_period + 1, gap)
         self._last_period = cur
         return cost
 

@@ -18,12 +18,24 @@ TIP     9          0x60, u64 LE instruction uid where execution
                    returns, post-PSB anchors, final flush position
 MTC     2          0x50, low 8 bits of (time // mtc_period)
 TSC     9          0x70, u64 LE full virtual time in ns
+FUP     9          0x78, u64 LE instruction uid — post-PSB anchor,
+                   start of a delay or blocked region, snapshot stop
+                   position (and 0 at thread exit)
 PSB     16         0x82 0x02 x 8 — decoder sync point
 ======  =========  ==============================================
 
 Returns are TNT-compressed exactly like real PT: a return whose call
 was seen since the last PSB is encoded as a taken TNT bit; otherwise it
 gets a TIP.
+
+MTC runs.  Between two control events the stream holds nothing but MTC
+ticks, one per period, whose counters step by +1 (mod 256): an
+arithmetic progression.  Both ends handle such a run in closed form
+without changing a byte.  :func:`encode_mtc_run` slices a run's bytes
+out of the 512-byte counter cycle, and :func:`parse_runs` coalesces a
+run into one :class:`MtcRunPacket`, finding its end by comparing
+512-byte slices of the stream against the same cycle.
+:func:`parse_packets` still yields one :class:`MtcPacket` per tick.
 """
 
 from __future__ import annotations
@@ -43,6 +55,12 @@ PSB_BYTES = bytes([0x82, 0x02] * 8)
 
 TNT_MAX_BITS = 6
 
+# Every MTC packet of one counter lap, in counter order: the bytes of
+# any run of +1-stepping MTCs are a slice of this cycle repeated.
+_MTC_CYCLE = bytes(b for counter in range(256) for b in (TAG_MTC, counter))
+_MTC_LAP = len(_MTC_CYCLE)  # 512
+_MTC_LAPS = _MTC_CYCLE * 2  # any lap-long window, starting at any counter
+
 # Precomputed TNT bit tuples: _TNT_BITS[count][payload] is the decoded
 # (oldest-first) flag tuple for a payload byte carrying ``count`` bits.
 # 6 x 256 shared tuples replace a per-packet Python bit loop — TNT is
@@ -58,7 +76,7 @@ _TNT_BITS: tuple[tuple[tuple[bool, ...], ...], ...] = tuple(
 
 @dataclass(frozen=True)
 class Packet:
-    kind: str  # "tnt" | "tip" | "mtc" | "tsc" | "psb" | "pad"
+    kind: str  # "tnt" | "tip" | "mtc" | "tsc" | "fup" | "psb"
     offset: int  # byte offset in the decoded stream
 
     @property
@@ -79,6 +97,15 @@ class TipPacket(Packet):
 @dataclass(frozen=True)
 class MtcPacket(Packet):
     counter: int = 0
+
+
+@dataclass(frozen=True)
+class MtcRunPacket(Packet):
+    """``count`` back-to-back MTC packets with counters ``counter``,
+    ``counter + 1``, ... (mod 256): ticks with no control event between."""
+
+    counter: int = 0
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -116,6 +143,18 @@ def encode_mtc(counter: int) -> bytes:
     return bytes([TAG_MTC, counter & 0xFF])
 
 
+def encode_mtc_run(counter: int, count: int, keep: int | None = None) -> bytes:
+    """The last ``keep`` bytes (all ``2 * count`` by default) of
+    ``encode_mtc(counter) + encode_mtc(counter + 1) + ...``, ``count``
+    packets long, sliced from the counter cycle."""
+    size = 2 * count
+    keep = size if keep is None else min(keep, size)
+    start = (2 * counter + size - keep) % _MTC_LAP
+    if start + keep <= len(_MTC_LAPS):
+        return _MTC_LAPS[start : start + keep]
+    return (_MTC_CYCLE * ((start + keep) // _MTC_LAP + 1))[start : start + keep]
+
+
 def encode_tsc(time: int) -> bytes:
     return bytes([TAG_TSC]) + struct.pack("<Q", time)
 
@@ -134,13 +173,46 @@ def find_psb(data: bytes, start: int = 0) -> int:
 
 
 def parse_packets(data: bytes, start: int = 0):
-    """Yield packets from ``data`` beginning at ``start``.
+    """Yield packets from ``data`` beginning at ``start``, one per packet.
 
     ``start`` must point at a packet boundary (normally a PSB found via
     :func:`find_psb`).  Raises :class:`TraceDecodeError` on unknown tags;
     a truncated trailing packet ends iteration silently (the ring was
     snapshotted mid-write, which is legal).
     """
+    for pkt in parse_runs(data, start):
+        if isinstance(pkt, MtcRunPacket):
+            for k in range(pkt.count):
+                yield MtcPacket("mtc", pkt.offset + 2 * k, (pkt.counter + k) & 0xFF)
+        else:
+            yield pkt
+
+
+def _mtc_run_length(data: bytes, i: int) -> int:
+    """Complete packets in the +1-stepping MTC run at ``data[i]``, which
+    must hold one complete MTC packet."""
+    c = 2 * data[i + 1]
+    lap = _MTC_LAPS[c : c + _MTC_LAP]
+    j = i
+    while data[j : j + _MTC_LAP] == lap:
+        j += _MTC_LAP
+    # the next lap breaks off: gallop, then bisect, for the packets
+    # data[j:] shares with the cycle (lo match, hi do not)
+    lo, hi = 0, 1
+    while hi < 256 and data[j : j + 2 * hi] == lap[: 2 * hi]:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if data[j : j + 2 * mid] == lap[: 2 * mid]:
+            lo = mid
+        else:
+            hi = mid
+    return (j - i) // 2 + lo
+
+
+def parse_runs(data: bytes, start: int = 0):
+    """Like :func:`parse_packets`, but each run of MTCs whose counters
+    step by +1 comes out as one :class:`MtcRunPacket`."""
     i = start
     n = len(data)
     while i < n:
@@ -166,8 +238,9 @@ def parse_packets(data: bytes, start: int = 0):
         if tag == TAG_MTC:
             if i + 1 >= n:
                 return
-            yield MtcPacket("mtc", i, data[i + 1])
-            i += 2
+            count = _mtc_run_length(data, i)
+            yield MtcRunPacket("mtc", i, data[i + 1], count)
+            i += 2 * count
             continue
         if tag == TAG_TIP:
             if i + 9 > n:

@@ -41,6 +41,15 @@ class RingBuffer:
             self._write_pos = rest
         self.total_written += n
 
+    def write_tail(self, tail: bytes, total: int) -> None:
+        """Account a ``total``-byte write of which only ``tail``, its
+        last ``min(total, capacity)`` bytes, is materialized: every
+        earlier byte would be overwritten before it could be read."""
+        if len(tail) != min(total, self.capacity):
+            raise ValueError("tail must hold every byte that survives the write")
+        self.write(tail)
+        self.total_written += total - len(tail)
+
     @property
     def wrapped(self) -> bool:
         return self.total_written > self.capacity

@@ -41,21 +41,25 @@ class CostModel:
     def cost(self, opcode: str) -> int:
         if opcode in self.overrides:
             return self.overrides[opcode]
-        return {
-            "load": self.load,
-            "store": self.store,
-            "lock": self.lock,
-            "unlock": self.unlock,
-            "lockinit": self.lock_init,
-            "malloc": self.malloc,
-            "free": self.free,
-            "call": self.call,
-            "ret": self.ret,
-            "spawn": self.spawn,
-            "join": self.join,
-            "br": self.branch,
-            "cbr": self.branch,
-        }.get(opcode, self.default)
+        return getattr(self, _PRICED_OPCODES.get(opcode, "default"))
+
+
+# opcode -> the CostModel field that prices it; others cost ``default``
+_PRICED_OPCODES = {
+    "load": "load",
+    "store": "store",
+    "lock": "lock",
+    "unlock": "unlock",
+    "lockinit": "lock_init",
+    "malloc": "malloc",
+    "free": "free",
+    "call": "call",
+    "ret": "ret",
+    "spawn": "spawn",
+    "join": "join",
+    "br": "branch",
+    "cbr": "branch",
+}
 
 
 class VirtualClock:

@@ -208,6 +208,12 @@ class Machine:
         self._outcome: str | None = None
         self._steps = 0
         self.stats: dict[int, ThreadStats] = {}
+        # instruction class -> (handler, cost in ns of one execution);
+        # plain functions, so the machine holds no cycle through itself
+        self._ops = {
+            cls: (handler, self.costs.cost(cls.opcode))
+            for cls, handler in _HANDLERS.items()
+        }
         self._init_globals()
 
     # -- setup ------------------------------------------------------------
@@ -432,180 +438,169 @@ class Machine:
             raise StepLimitExceeded(
                 f"exceeded {self.max_steps} steps at t={self.clock.now}ns"
             )
-        frame = thread.frame
-        if frame.index >= len(frame.block.instructions):
+        frame = thread.frames[-1]
+        instructions = frame.block.instructions
+        if frame.index >= len(instructions):
             raise SimulationError(f"fell off block {frame.block.label()}")
-        instr = frame.block.instructions[frame.index]
-        if instr.uid in self.breakpoints:
-            self.breakpoints[instr.uid](self, thread, instr)
+        instr = instructions[frame.index]
+        hit = self.breakpoints.get(instr.uid)
+        if hit is not None:
+            hit(self, thread, instr)
         if self.instrumentation is not None:
             extra = self.instrumentation.before_instruction(self, thread.tid, instr)
             if extra:
                 self.clock.advance(extra)
-        self.clock.advance(self.costs.cost(instr.opcode))
+        op = self._ops.get(type(instr))
+        if op is None:
+            raise SimulationError(f"cannot execute {instr.opcode}")
+        handler, cost = op
+        self.clock.advance(cost)
         stats = self.stats[thread.tid]
         stats.instructions += 1
         try:
-            self._dispatch(thread, frame, instr)
+            if handler(self, thread, frame, instr, stats):
+                frame.index += 1
         except GuestFault as fault:
             self._crash(thread, instr, fault)
 
-    def _dispatch(self, thread: SimThread, frame: Frame, instr: Instruction) -> None:
-        stats = self.stats[thread.tid]
-        advance = True
-        if isinstance(instr, Alloca):
-            pass  # slot was materialized at frame push; value already bound
-        elif isinstance(instr, Malloc):
-            count = 1
-            if instr.count is not None:
-                count = int(self._value(frame, instr.count))
-                if count < 0:
-                    raise GuestFault("oob", 0, f"malloc with negative count {count}")
-            base_ty = instr.allocated_type
-            size = base_ty.size() * count
-            ty = ArrayType(base_ty, count) if count != 1 else base_ty
-            obj = self.memory.allocate(size, "heap", instr.uid, ty, label=instr.name)
-            frame.values[instr] = obj.base
-        elif isinstance(instr, Free):
-            addr = self._pointer(frame, instr.pointer)
-            if addr == 0:
-                raise GuestFault("null", 0, "free(NULL)")
-            self.memory.free(addr)
-            stats.memory_accesses += 1
-            self._record_event(instr, thread, "write", addr)
-        elif isinstance(instr, Load):
-            addr = self._pointer(frame, instr.pointer)
-            value = self.memory.read_word(addr)
-            frame.values[instr] = value
-            stats.memory_accesses += 1
-            self._record_event(instr, thread, "read", addr)
-        elif isinstance(instr, Store):
-            addr = self._pointer(frame, instr.pointer)
-            value = self._value(frame, instr.value)
-            self.memory.write_word(addr, value)
-            stats.memory_accesses += 1
-            self._record_event(instr, thread, "write", addr)
-        elif isinstance(instr, FieldAddr):
-            # Address arithmetic never faults (like LLVM GEP); the
-            # dereference is the failing instruction, which is what the
-            # diagnosis pipeline must anchor on.
-            base = self._pointer(frame, instr.pointer)
-            frame.values[instr] = base + instr.offset
-        elif isinstance(instr, IndexAddr):
-            base = self._pointer(frame, instr.pointer)
-            idx = int(self._value(frame, instr.index))
-            frame.values[instr] = base + idx * instr.element_type.size()
-        elif isinstance(instr, BinOp):
-            frame.values[instr] = self._binop(frame, instr)
-        elif isinstance(instr, Cmp):
-            frame.values[instr] = self._cmp(frame, instr)
-        elif isinstance(instr, Cast):
-            frame.values[instr] = self._value(frame, instr.value)
-        elif isinstance(instr, Br):
-            self._transfer(thread, frame, instr.target)
-            if self.driver is not None:
-                extra = self.driver.on_br(
-                    thread.tid, instr.target.instructions[0].uid, self.clock.now
-                )
-                if extra:
-                    self.clock.advance(extra)
-            advance = False
-            stats.branches += 1
-        elif isinstance(instr, CondBr):
-            cond = self._value(frame, instr.cond)
-            taken = bool(cond)
-            target = instr.then_block if taken else instr.else_block
-            self._transfer(thread, frame, target)
-            if self.driver is not None:
-                extra = self.driver.on_cond_branch(
-                    thread.tid, taken, target.instructions[0].uid, self.clock.now
-                )
-                if extra:
-                    self.clock.advance(extra)
-            advance = False
-            stats.branches += 1
-        elif isinstance(instr, Ret):
-            self._do_ret(thread, frame, instr)
-            advance = False
-        elif isinstance(instr, Call):
-            self._do_call(thread, frame, instr)
-            advance = False
-        elif isinstance(instr, LockInit):
-            addr = self._pointer(frame, instr.pointer)
-            self.memory.write_word(addr, 0)  # validates the address
-        elif isinstance(instr, Lock):
-            advance = self._do_lock(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, Unlock):
-            self._do_unlock(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, (CondInit, RwInit)):
-            addr = self._pointer(frame, instr.pointer)
-            self.memory.write_word(addr, 0)  # validates the address
-        elif isinstance(instr, CondWait):
-            advance = self._do_cond_wait(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, CondNotify):
-            self._do_cond_notify(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, (RwRdLock, RwWrLock)):
-            advance = self._do_rw_lock(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, RwUnlock):
-            self._do_rw_unlock(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, SemInit):
-            addr = self._pointer(frame, instr.pointer)
+    # -- instruction handlers ----------------------------------------------
+    #
+    # One per instruction class, looked up by ``type(instr)`` in the
+    # machine's ``_ops`` table (built from ``_HANDLERS`` below).  Each
+    # returns whether the thread falls through to the next instruction
+    # of its block.
+
+    def _do_nothing(self, thread, frame, instr, stats) -> bool:
+        return True
+
+    def _do_malloc(self, thread, frame, instr: Malloc, stats) -> bool:
+        count = 1
+        if instr.count is not None:
             count = int(self._value(frame, instr.count))
             if count < 0:
-                raise GuestFault("oob", 0, f"seminit with negative count {count}")
-            self.memory.write_word(addr, count)  # validates the address
-            self.locks.sems.init(addr, count)
-        elif isinstance(instr, SemWait):
-            advance = self._do_sem_wait(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, SemPost):
-            self._do_sem_post(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, BarrierInit):
-            addr = self._pointer(frame, instr.pointer)
-            parties = int(self._value(frame, instr.parties))
-            if parties < 1:
-                raise GuestFault(
-                    "oob", 0, f"barrierinit with parties {parties} < 1"
-                )
-            self.memory.write_word(addr, parties)  # validates the address
-            self.locks.barriers.init(addr, parties)
-        elif isinstance(instr, BarrierWait):
-            advance = self._do_barrier_wait(thread, frame, instr)
-            stats.lock_ops += 1
-        elif isinstance(instr, Spawn):
-            self._do_spawn(thread, frame, instr)
-        elif isinstance(instr, Join):
-            advance = self._do_join(thread, frame, instr)
-        elif isinstance(instr, Delay):
-            duration = int(self._value(frame, instr.duration))
-            if duration < 0:
-                raise GuestFault("oob", 0, f"negative delay {duration}")
-            start = self.clock.now
-            extra = 0
-            if self.driver is not None:
-                resume_uid = frame.block.instructions[instr.block_index + 1].uid
-                extra = self.driver.on_work(
-                    thread.tid, instr.uid, resume_uid, start, duration
-                )
-            thread.wake_time = start + duration + extra
-            thread.state = SLEEPING
-            frame.index += 1
-            advance = False
-        elif isinstance(instr, Assert):
-            cond = self._value(frame, instr.cond)
-            if not cond:
-                raise GuestFault("assert", 0, instr.message)
-        else:
-            raise SimulationError(f"cannot execute {instr.opcode}")
-        if advance:
-            frame.index += 1
+                raise GuestFault("oob", 0, f"malloc with negative count {count}")
+        base_ty = instr.allocated_type
+        size = base_ty.size() * count
+        ty = ArrayType(base_ty, count) if count != 1 else base_ty
+        obj = self.memory.allocate(size, "heap", instr.uid, ty, label=instr.name)
+        frame.values[instr] = obj.base
+        return True
+
+    def _do_free(self, thread, frame, instr: Free, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        if addr == 0:
+            raise GuestFault("null", 0, "free(NULL)")
+        self.memory.free(addr)
+        stats.memory_accesses += 1
+        self._record_event(instr, thread, "write", addr)
+        return True
+
+    def _do_load(self, thread, frame, instr: Load, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        frame.values[instr] = self.memory.read_word(addr)
+        stats.memory_accesses += 1
+        self._record_event(instr, thread, "read", addr)
+        return True
+
+    def _do_store(self, thread, frame, instr: Store, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        self.memory.write_word(addr, self._value(frame, instr.value))
+        stats.memory_accesses += 1
+        self._record_event(instr, thread, "write", addr)
+        return True
+
+    def _do_field_addr(self, thread, frame, instr: FieldAddr, stats) -> bool:
+        # Address arithmetic never faults (like LLVM GEP); the
+        # dereference is the failing instruction, which is what the
+        # diagnosis pipeline must anchor on.
+        frame.values[instr] = self._pointer(frame, instr.pointer) + instr.offset
+        return True
+
+    def _do_index_addr(self, thread, frame, instr: IndexAddr, stats) -> bool:
+        base = self._pointer(frame, instr.pointer)
+        idx = int(self._value(frame, instr.index))
+        frame.values[instr] = base + idx * instr.element_type.size()
+        return True
+
+    def _do_binop(self, thread, frame, instr: BinOp, stats) -> bool:
+        frame.values[instr] = self._binop(frame, instr)
+        return True
+
+    def _do_cmp(self, thread, frame, instr: Cmp, stats) -> bool:
+        frame.values[instr] = self._cmp(frame, instr)
+        return True
+
+    def _do_cast(self, thread, frame, instr: Cast, stats) -> bool:
+        frame.values[instr] = self._value(frame, instr.value)
+        return True
+
+    def _do_br(self, thread, frame, instr: Br, stats) -> bool:
+        self._transfer(thread, frame, instr.target)
+        if self.driver is not None:
+            extra = self.driver.on_br(
+                thread.tid, instr.target.instructions[0].uid, self.clock.now
+            )
+            if extra:
+                self.clock.advance(extra)
+        stats.branches += 1
+        return False
+
+    def _do_cond_br(self, thread, frame, instr: CondBr, stats) -> bool:
+        taken = bool(self._value(frame, instr.cond))
+        target = instr.then_block if taken else instr.else_block
+        self._transfer(thread, frame, target)
+        if self.driver is not None:
+            extra = self.driver.on_cond_branch(
+                thread.tid, taken, target.instructions[0].uid, self.clock.now
+            )
+            if extra:
+                self.clock.advance(extra)
+        stats.branches += 1
+        return False
+
+    def _do_sync_init(self, thread, frame, instr, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        self.memory.write_word(addr, 0)  # validates the address
+        return True
+
+    def _do_sem_init(self, thread, frame, instr: SemInit, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        count = int(self._value(frame, instr.count))
+        if count < 0:
+            raise GuestFault("oob", 0, f"seminit with negative count {count}")
+        self.memory.write_word(addr, count)  # validates the address
+        self.locks.sems.init(addr, count)
+        return True
+
+    def _do_barrier_init(self, thread, frame, instr: BarrierInit, stats) -> bool:
+        addr = self._pointer(frame, instr.pointer)
+        parties = int(self._value(frame, instr.parties))
+        if parties < 1:
+            raise GuestFault("oob", 0, f"barrierinit with parties {parties} < 1")
+        self.memory.write_word(addr, parties)  # validates the address
+        self.locks.barriers.init(addr, parties)
+        return True
+
+    def _do_delay(self, thread, frame, instr: Delay, stats) -> bool:
+        duration = int(self._value(frame, instr.duration))
+        if duration < 0:
+            raise GuestFault("oob", 0, f"negative delay {duration}")
+        start = self.clock.now
+        extra = 0
+        if self.driver is not None:
+            resume_uid = frame.block.instructions[instr.block_index + 1].uid
+            extra = self.driver.on_work(
+                thread.tid, instr.uid, resume_uid, start, duration
+            )
+        thread.wake_time = start + duration + extra
+        thread.state = SLEEPING
+        frame.index += 1
+        return False
+
+    def _do_assert(self, thread, frame, instr: Assert, stats) -> bool:
+        if not self._value(frame, instr.cond):
+            raise GuestFault("assert", 0, instr.message)
+        return True
 
     # -- control transfers ----------------------------------------------------
 
@@ -613,7 +608,7 @@ class Machine:
         frame.block = target
         frame.index = 0
 
-    def _do_call(self, thread: SimThread, frame: Frame, instr: Call) -> None:
+    def _do_call(self, thread: SimThread, frame: Frame, instr: Call, stats) -> bool:
         callee = self._resolve_callee(frame, instr.callee)
         args = [self._value(frame, a) for a in instr.args]
         if self.driver is not None:
@@ -628,8 +623,9 @@ class Machine:
             if extra:
                 self.clock.advance(extra)
         self._push_frame(thread, callee, args, call_site=instr)
+        return False
 
-    def _do_ret(self, thread: SimThread, frame: Frame, instr: Ret) -> None:
+    def _do_ret(self, thread: SimThread, frame: Frame, instr: Ret, stats) -> bool:
         value = self._value(frame, instr.value) if instr.value is not None else None
         self._pop_frame(thread)
         if not thread.frames:
@@ -639,7 +635,7 @@ class Machine:
                 self.driver.on_ret(thread.tid, None, self.clock.now)
                 self.driver.on_thread_end(thread.tid, self.clock.now)
             self._wake_joiners(thread.tid)
-            return
+            return False
         caller = thread.frame
         call_site = caller.block.instructions[caller.index]
         if value is not None:
@@ -650,6 +646,7 @@ class Machine:
             extra = self.driver.on_ret(thread.tid, resume_uid, self.clock.now)
             if extra:
                 self.clock.advance(extra)
+        return False
 
     def _resolve_callee(self, frame: Frame, callee_value: Value) -> Function:
         if isinstance(callee_value, FunctionRef):
@@ -662,7 +659,7 @@ class Machine:
             "indirect call through a non-function value",
         )
 
-    def _do_spawn(self, thread: SimThread, frame: Frame, instr: Spawn) -> None:
+    def _do_spawn(self, thread: SimThread, frame: Frame, instr: Spawn, stats) -> bool:
         callee = self._resolve_callee(frame, instr.callee)
         args = [self._value(frame, a) for a in instr.args]
         child = self._spawn_thread(callee, args)
@@ -672,8 +669,9 @@ class Machine:
                 child.tid, callee.entry.instructions[0].uid, self.clock.now
             )
         self._record_event(instr, thread, "other", None)
+        return True
 
-    def _do_join(self, thread: SimThread, frame: Frame, instr: Join) -> bool:
+    def _do_join(self, thread: SimThread, frame: Frame, instr: Join, stats) -> bool:
         target_tid = int(self._value(frame, instr.handle))
         target = self.threads.get(target_tid)
         if target is None:
@@ -699,9 +697,10 @@ class Machine:
 
     # -- locks -------------------------------------------------------------------
 
-    def _do_lock(self, thread: SimThread, frame: Frame, instr: Lock) -> bool:
+    def _do_lock(self, thread: SimThread, frame: Frame, instr: Lock, stats) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "lock", addr)
         table = self.locks.table
         if table.try_acquire(addr, thread.tid):
@@ -736,9 +735,10 @@ class Machine:
             self._deadlock(cycle)
         return False
 
-    def _do_unlock(self, thread: SimThread, frame: Frame, instr: Unlock) -> None:
+    def _do_unlock(self, thread: SimThread, frame: Frame, instr: Unlock, stats) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "unlock", addr)
         next_tid = self.locks.table.release(addr, thread.tid)
         if next_tid is not None:
@@ -751,6 +751,7 @@ class Machine:
                 wframe = waiter.frame
                 resume = wframe.block.instructions[wframe.index].uid
                 self.driver.on_wake(waiter.tid, resume, self.clock.now)
+        return True
 
     # -- richer sync primitives (condvar / rwlock / semaphore / barrier) ----
 
@@ -777,29 +778,37 @@ class Machine:
             resume = wframe.block.instructions[wframe.index].uid
             self.driver.on_wake(waiter.tid, resume, self.clock.now)
 
-    def _do_cond_wait(self, thread: SimThread, frame: Frame, instr: CondWait) -> bool:
+    def _do_cond_wait(
+        self, thread: SimThread, frame: Frame, instr: CondWait, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "read", addr)
         self.locks.conds.wait(addr, thread.tid)
         self._block_on_sync(thread, BLOCKED_COND, addr, instr)
         return False
 
     def _do_cond_notify(
-        self, thread: SimThread, frame: Frame, instr: CondNotify
-    ) -> None:
+        self, thread: SimThread, frame: Frame, instr: CondNotify, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "write", addr)
         tid = self.locks.conds.notify(addr)
         if tid is not None:
             self._wake_from_sync(tid)
         # else: the signal found no waiter and is lost — the semantics
         # behind every lost-wakeup bug in the corpus
+        return True
 
-    def _do_rw_lock(self, thread: SimThread, frame: Frame, instr: Instruction) -> bool:
+    def _do_rw_lock(
+        self, thread: SimThread, frame: Frame, instr: Instruction, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "lock", addr)
         rw = self.locks.rw
         mode = "wr" if isinstance(instr, RwWrLock) else "rd"
@@ -817,16 +826,23 @@ class Machine:
             self._deadlock(cycle)
         return False
 
-    def _do_rw_unlock(self, thread: SimThread, frame: Frame, instr: RwUnlock) -> None:
+    def _do_rw_unlock(
+        self, thread: SimThread, frame: Frame, instr: RwUnlock, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "unlock", addr)
         for tid in self.locks.rw.release(addr, thread.tid):
             self._wake_from_sync(tid)
+        return True
 
-    def _do_sem_wait(self, thread: SimThread, frame: Frame, instr: SemWait) -> bool:
+    def _do_sem_wait(
+        self, thread: SimThread, frame: Frame, instr: SemWait, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "read", addr)
         sems = self.locks.sems
         if sems.try_wait(addr):
@@ -835,19 +851,24 @@ class Machine:
         self._block_on_sync(thread, BLOCKED_SEMA, addr, instr)
         return False
 
-    def _do_sem_post(self, thread: SimThread, frame: Frame, instr: SemPost) -> None:
+    def _do_sem_post(
+        self, thread: SimThread, frame: Frame, instr: SemPost, stats
+    ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "write", addr)
         tid = self.locks.sems.post(addr)
         if tid is not None:
             self._wake_from_sync(tid)
+        return True
 
     def _do_barrier_wait(
-        self, thread: SimThread, frame: Frame, instr: BarrierWait
+        self, thread: SimThread, frame: Frame, instr: BarrierWait, stats
     ) -> bool:
         addr = self._pointer(frame, instr.pointer)
         self.memory.check_access(addr)
+        stats.lock_ops += 1
         self._record_event(instr, thread, "read", addr)
         woken = self.locks.barriers.arrive(addr, thread.tid)
         if woken is None:
@@ -910,6 +931,14 @@ class Machine:
     # -- value evaluation --------------------------------------------------------
 
     def _value(self, frame: Frame, v: Value) -> Any:
+        # most operands are the results of earlier instructions: test first
+        if isinstance(v, (Instruction, Argument)):
+            try:
+                return frame.values[v]
+            except KeyError:
+                raise SimulationError(
+                    f"read of undefined value {v.short()} in {frame.function.name}"
+                ) from None
         if isinstance(v, Constant):
             return v.value
         if isinstance(v, NullPointer):
@@ -918,13 +947,6 @@ class Machine:
             return self._global_addr[v.name]
         if isinstance(v, FunctionRef):
             return v
-        if isinstance(v, (Argument, Instruction)):
-            try:
-                return frame.values[v]
-            except KeyError:
-                raise SimulationError(
-                    f"read of undefined value {v.short()} in {frame.function.name}"
-                ) from None
         raise SimulationError(f"cannot evaluate {v!r}")
 
     def _pointer(self, frame: Frame, v: Value) -> int:
@@ -984,6 +1006,43 @@ class Machine:
             self.event_log.record(
                 TargetEvent(instr.uid, thread.tid, self.clock.now, kind, address)
             )
+
+
+_HANDLERS: dict[type, Callable[..., bool]] = {
+    Alloca: Machine._do_nothing,  # slot materialized at frame push
+    Malloc: Machine._do_malloc,
+    Free: Machine._do_free,
+    Load: Machine._do_load,
+    Store: Machine._do_store,
+    FieldAddr: Machine._do_field_addr,
+    IndexAddr: Machine._do_index_addr,
+    BinOp: Machine._do_binop,
+    Cmp: Machine._do_cmp,
+    Cast: Machine._do_cast,
+    Br: Machine._do_br,
+    CondBr: Machine._do_cond_br,
+    Ret: Machine._do_ret,
+    Call: Machine._do_call,
+    LockInit: Machine._do_sync_init,
+    CondInit: Machine._do_sync_init,
+    RwInit: Machine._do_sync_init,
+    Lock: Machine._do_lock,
+    Unlock: Machine._do_unlock,
+    CondWait: Machine._do_cond_wait,
+    CondNotify: Machine._do_cond_notify,
+    RwRdLock: Machine._do_rw_lock,
+    RwWrLock: Machine._do_rw_lock,
+    RwUnlock: Machine._do_rw_unlock,
+    SemInit: Machine._do_sem_init,
+    SemWait: Machine._do_sem_wait,
+    SemPost: Machine._do_sem_post,
+    BarrierInit: Machine._do_barrier_init,
+    BarrierWait: Machine._do_barrier_wait,
+    Spawn: Machine._do_spawn,
+    Join: Machine._do_join,
+    Delay: Machine._do_delay,
+    Assert: Machine._do_assert,
+}
 
 
 class LockTableShim:

@@ -7,7 +7,9 @@ in-process ``SnorlaxServer.diagnose`` yields for the same
 module and seeds.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -61,6 +63,39 @@ def test_single_agent_fleet_matches_in_process(custom_module):
     assert result.digest == report_digest(in_process)
     assert result.digest["bug_kind"] == "order-violation"
     assert result.digest["f1"] == 1.0
+
+
+def test_stopped_server_is_freed_without_the_cycle_collector(custom_module):
+    # a stopped server and its decoded-trace cache must go as soon as the
+    # last outside reference does: no reference cycle may lead back to
+    # it (job-queue listeners, cached futures' done-callbacks, the
+    # listener's protocol factory), or it lives until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        server = FleetServer(
+            module_resolver=lambda bug_id: custom_module, workers=1, max_pending=2
+        )
+        host, port = server.start()
+        stop = threading.Event()
+        try:
+            agent = FleetAgent(
+                "solo", "custom-readbeforeinit", custom_module, _workload, host, port
+            )
+            agent.connect()
+            agent.produce_and_report(stop)
+            agent.close()
+        finally:
+            stop.set()
+            server.stop()
+        # still readable after stop, as the benchmark reads it
+        assert server.metrics.as_dict()["counters"]["diagnoses_completed"] == 1
+        assert server.caches.traces.stats.misses > 0
+        refs = [weakref.ref(server), weakref.ref(server.caches.traces)]
+        del server, agent
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- the 50-agent corpus fleet ---------------------------------------------

@@ -155,3 +155,23 @@ def test_trace_config_validation():
         TraceConfig(mtc_period_ns=0)
     with pytest.raises(ValueError):
         TraceConfig(psb_interval_bytes=3)
+
+
+def test_snapshot_decodes_at_the_period_it_was_traced_with():
+    m = _module()
+    store_uid = next(i.uid for i in m.instructions() if i.loc is not None)
+    driver = PTDriver(TraceConfig(mtc_period_ns=8192))
+    machine = Machine(m, trace_driver=driver, watch_uids={store_uid})
+    result = machine.run("main", (3,))
+    snap = driver.take_snapshot("x", machine.thread_positions(), machine.clock.now)
+    assert snap.mtc_period_ns == 8192
+    truth = [ev.time for ev in result.event_log]
+    traces = snap.decode(m)
+    stores = [d for t in traces.values() for d in t.instructions if d.uid == store_uid]
+    assert len(stores) == len(truth) == 3
+    assert all(d.t_lo <= time <= d.t_hi for d, time in zip(stores, truth))
+    # the period is still sideband: an explicit one overrides the record
+    wrong = snap.decode(m, mtc_period_ns=4096)
+    assert [t.timing_times for t in wrong.values()] != [
+        t.timing_times for t in traces.values()
+    ]

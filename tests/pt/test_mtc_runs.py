@@ -1,0 +1,222 @@
+"""Closed-form MTC runs against a one-tick-at-a-time oracle.
+
+The encoder writes a run of n MTC ticks as one ring-tail write, the
+parser coalesces +1-stepping MTCs into one ``MtcRunPacket``, and the
+decoder applies a whole run in one step.  Each must agree exactly with
+handling the same ticks one packet at a time: the ring's snapshot and
+byte count, the parser's per-packet view, and every field of the
+decoded ``ThreadTrace``.
+"""
+
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.ir import parse_module
+from repro.pt import decoder
+from repro.pt.decoder import decode_thread_trace
+from repro.pt.packets import (
+    MtcPacket,
+    MtcRunPacket,
+    encode_fup,
+    encode_mtc,
+    encode_mtc_run,
+    encode_psb,
+    encode_tip,
+    encode_tnt,
+    encode_tsc,
+    parse_packets,
+    parse_runs,
+)
+from repro.pt.ringbuffer import RingBuffer
+
+
+class _PerTickWalker(decoder._Walker):
+    """The oracle: the decoder's MTC rule applied one tick at a time."""
+
+    def _on_mtc(self, pkt):
+        for k in range(pkt.count):
+            self.trace.timing_packets += 1
+            if self.last_period is None:
+                continue  # MTC before any TSC: unusable for absolute time
+            delta = (pkt.counter + k - (self.last_period & 0xFF)) & 0xFF or 256
+            self.last_period += delta
+            if self.period_guess:
+                self._on_time(self.last_period * self.period_guess, exact=False)
+
+
+# -- ring buffer ------------------------------------------------------------
+
+_ring_ops = st.lists(
+    st.one_of(
+        # a run: any first period (so counters cross 255 -> 0), lengths
+        # from one tick to several times the ring's capacity
+        st.tuples(st.just("run"), st.integers(0, 2**20), st.integers(1, 1200)),
+        st.tuples(st.just("bytes"), st.binary(max_size=40)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(capacity=st.integers(1, 300), ops=_ring_ops)
+@example(capacity=7, ops=[("bytes", b"abc"), ("run", 250, 9), ("run", 3, 1)])
+@example(capacity=8, ops=[("run", 255, 600), ("bytes", b"x"), ("run", 0, 4)])
+def test_ring_tail_write_matches_per_packet_writes(capacity, ops):
+    fast, slow = RingBuffer(capacity), RingBuffer(capacity)
+    for op in ops:
+        if op[0] == "run":
+            _, first, count = op
+            fast.write_tail(encode_mtc_run(first, count, capacity), 2 * count)
+            for period in range(first, first + count):
+                slow.write(encode_mtc(period))
+        else:
+            fast.write(op[1])
+            slow.write(op[1])
+        assert fast.snapshot() == slow.snapshot()
+        assert fast.total_written == slow.total_written
+
+
+def test_mtc_run_is_the_joined_packets():
+    for first, count in ((0, 1), (254, 3), (255, 257), (1000, 700)):
+        joined = b"".join(encode_mtc(p) for p in range(first, first + count))
+        assert encode_mtc_run(first, count) == joined
+        assert encode_mtc_run(first, count, 5) == joined[-5:]
+
+
+# -- parser -----------------------------------------------------------------
+
+
+@st.composite
+def _mtc_streams(draw):
+    """Runs whose next counter continues (+1), repeats (0) or jumps,
+    separated at random by non-MTC packets; with the expected counters."""
+    data, counters = bytearray(), []
+    counter = draw(st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            data += draw(
+                st.sampled_from([encode_tnt([True]), encode_tsc(5), encode_psb()])
+            )
+        step = draw(st.sampled_from([1, 0, None]))
+        counter = draw(st.integers(0, 255)) if step is None else counter + step
+        count = draw(st.integers(1, 700))
+        data += encode_mtc_run(counter, count)
+        counters += [(counter + k) & 0xFF for k in range(count)]
+        counter += count - 1
+    return bytes(data), counters
+
+
+@given(_mtc_streams())
+def test_parse_runs_coalesces_exactly_the_plus_one_steps(stream):
+    data, counters = stream
+    runs = [p for p in parse_runs(data) if isinstance(p, MtcRunPacket)]
+    per_packet = [p for p in parse_packets(data) if isinstance(p, MtcPacket)]
+    assert [p.counter for p in per_packet] == counters
+    assert [p.offset for p in per_packet] == [
+        run.offset + 2 * k for run in runs for k in range(run.count)
+    ]
+    for a, b in zip(runs, runs[1:]):
+        # maximal: an adjacent run never continues its predecessor
+        adjacent = b.offset == a.offset + 2 * a.count
+        assert not (adjacent and b.counter == (a.counter + a.count) & 0xFF)
+
+
+def test_truncated_mtc_ends_the_run():
+    data = encode_mtc_run(10, 5) + bytes([0x50])
+    (run,) = parse_runs(data)
+    assert (run.counter, run.count) == (10, 5)
+
+
+# -- decoder ----------------------------------------------------------------
+
+LOOP = parse_module(
+    """
+module t
+
+func helper() -> void {
+entry:
+  ret
+}
+
+func main() -> void {
+entry:
+  br loop
+loop:
+  delay 10
+  call @helper()
+  %c = cmp lt 0, 1
+  cbr %c, loop, done
+done:
+  ret
+}
+"""
+)
+_main = LOOP.function("main")
+ENTRY = _main.entry.instructions[0].uid
+DELAY, CALL = (i.uid for i in _main.blocks[1].instructions[:2])
+
+
+@st.composite
+def _timing(draw, state, kinds=("mtc", "mtc", "tsc", "psb")):
+    """Timing-only packets: MTC runs (continuing, repeating or jumping
+    counters), TSCs at arbitrary times (some below t_lo), PSB headers."""
+    out = bytearray()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "mtc":
+            step = draw(st.sampled_from([1, 0, None]))
+            if step is None:
+                state["counter"] = draw(st.integers(0, 255))
+            else:
+                state["counter"] += step
+            count = draw(st.integers(1, 300))
+            out += encode_mtc_run(state["counter"], count)
+            state["counter"] += count - 1
+        elif kind == "tsc":
+            out += encode_tsc(draw(st.integers(0, 2_000_000)))
+        else:
+            out += encode_psb() + encode_tsc(draw(st.integers(0, 2_000_000)))
+            out += encode_fup(ENTRY)
+    return bytes(out)
+
+
+@st.composite
+def _loop_streams(draw):
+    """A walkable trace of LOOP with timing packets everywhere."""
+    state = {"counter": draw(st.integers(0, 255))}
+    data = bytearray(encode_psb())
+    data += draw(_timing(state, kinds=("mtc",)))  # before the anchor's TSC
+    data += encode_tsc(draw(st.integers(0, 1_000_000))) + encode_fup(ENTRY)
+    iterations = draw(st.integers(1, 5))
+    stop = draw(st.booleans())
+    for i in range(iterations):
+        last = i == iterations - 1
+        data += draw(_timing(state)) + encode_fup(DELAY)
+        data += draw(_timing(state)) + encode_tip(CALL)
+        data += draw(_timing(state))
+        # the helper's compressed return, then the loop branch
+        data += encode_tnt([True, stop or not last])
+    data += draw(_timing(state))
+    if stop:  # snapshot suffix: runs right before the stop FUP
+        data += encode_tsc(draw(st.integers(0, 2_000_000))) + encode_fup(DELAY)
+    else:
+        data += encode_tip(0)
+    return bytes(data)
+
+
+def _outcome(data, period):
+    try:
+        return decode_thread_trace(LOOP, data, 1, period)
+    except Exception as exc:  # both sides must fail the same way
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_streams(), st.sampled_from([0, 1000, 4096]))
+def test_decoder_runs_match_the_per_tick_oracle(data, period):
+    closed = _outcome(data, period)
+    with mock.patch.object(decoder, "_Walker", _PerTickWalker):
+        oracle = _outcome(data, period)
+    assert closed == oracle
+    assert not isinstance(closed, str) and not closed.desync

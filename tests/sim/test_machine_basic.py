@@ -1,10 +1,17 @@
 """Sequential interpreter semantics: arithmetic, control flow, calls."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.ir import parse_module
+from repro.ir.instructions import Instruction
+from repro.ir.types import VOID
+from repro.pt import PTDriver
 from repro.sim import Machine
+from repro.sim.clock import CostModel
 
 
 def run(src, entry="main", args=(), **kw):
@@ -236,3 +243,65 @@ entry:
 """
     )
     assert r.exit_value == 7
+
+
+def test_cost_table_honours_overrides():
+    src = """
+module t
+func main() -> void {
+entry:
+  %a = add 1, 2
+  ret
+}
+"""
+    base = run(src).duration
+    priced = run(src, cost_model=CostModel(overrides={"binop": 1000})).duration
+    assert priced - base == 1000 - CostModel().default
+
+
+def test_instruction_without_a_handler_raises():
+    class Bogus(Instruction):
+        opcode = "bogus"
+
+    m = parse_module(
+        """
+module t
+func main() -> void {
+entry:
+  ret
+}
+""",
+        finalize=False,
+    )
+    entry = m.function("main").entry
+    bogus = Bogus(VOID, [])
+    bogus.parent = entry
+    entry.instructions.insert(0, bogus)
+    m.finalize(verify=False)
+    with pytest.raises(SimulationError, match="cannot execute bogus"):
+        Machine(m).run("main")
+
+
+def test_finished_machine_is_freed_without_the_cycle_collector():
+    # a traced run's machine holds its memory, threads and per-thread
+    # ring buffers: no reference cycle may keep it past its last user
+    m = parse_module(
+        """
+module t
+func main() -> void {
+entry:
+  %a = add 1, 2
+  ret
+}
+"""
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        machine = Machine(m, trace_driver=PTDriver())
+        machine.run("main")
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        gc.enable()
