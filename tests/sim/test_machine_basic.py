@@ -305,3 +305,67 @@ entry:
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_equality_on_a_function_pointer():
+    # only the requested comparison may run: ordering a function
+    # reference against an int would raise inside the host
+    r = run(
+        """
+module t
+global g_handler: fn(i64) -> i64
+func double(x: i64) -> i64 {
+entry:
+  %r = mul %x, 2
+  ret %r
+}
+func main() -> i64 {
+entry:
+  store @double, @g_handler
+  %f = load @g_handler
+  %c = cmp eq %f, 0
+  %d = cmp ne %f, 0
+  %e = cmp eq %f, @double
+  %ci = cast %c to i64
+  %di = cast %d to i64
+  %ei = cast %e to i64
+  %d2 = mul %di, 2
+  %e4 = mul %ei, 4
+  %s = add %ci, %d2
+  %t = add %s, %e4
+  ret %t
+}
+"""
+    )
+    assert r.outcome == "success", r.failure
+    assert r.exit_value == 0 + 2 + 4
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1152921504606846977, 1),
+        (1152921504606846977, 3),
+        (-1152921504606846977, 7),
+        (9007199254740993, -2),
+        (-7, 2),
+        (7, -2),
+        (-7, -2),
+    ],
+)
+def test_integer_division_is_exact_and_truncates_toward_zero(a, b):
+    r = run(
+        f"""
+module t
+func main() -> i64 {{
+entry:
+  %q = div {a}, {b}
+  %r = mod {a}, {b}
+  %q2 = mul %q, 1000
+  %s = add %q2, %r
+  ret %s
+}}
+"""
+    )
+    q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    assert r.exit_value == q * 1000 + (a - b * q)
