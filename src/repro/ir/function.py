@@ -17,7 +17,8 @@ class Function:
     The first block added is the entry block.  ``allocas()`` enumerates
     every stack slot in the body; the simulator materializes all of them
     when a frame is pushed (clang-style), so an alloca inside a loop still
-    denotes a single slot per activation.
+    denotes a single slot per activation.  The list is computed once and
+    recomputed after the module is (re)finalized.
     """
 
     def __init__(self, name: str, ret: Type, params: Sequence[tuple[str, Type]]):
@@ -28,6 +29,7 @@ class Function:
         ]
         self.blocks: list[BasicBlock] = []
         self._block_names: set[str] = set()
+        self._allocas: tuple[Alloca, ...] | None = None
 
     @property
     def return_type(self) -> Type:
@@ -63,8 +65,12 @@ class Function:
         for block in self.blocks:
             yield from block.instructions
 
-    def allocas(self) -> list[Alloca]:
-        return [i for i in self.instructions() if isinstance(i, Alloca)]
+    def allocas(self) -> tuple[Alloca, ...]:
+        if self._allocas is None:
+            self._allocas = tuple(
+                i for i in self.instructions() if isinstance(i, Alloca)
+            )
+        return self._allocas
 
     def __iter__(self) -> Iterator[BasicBlock]:
         return iter(self.blocks)

@@ -31,6 +31,9 @@ class Module:
         self.finalized = False
         self._instr_by_uid: dict[int, Instruction] = {}
         self._block_by_uid: dict[int, BasicBlock] = {}
+        # block -> its pre-decoded instructions, filled by the simulator
+        # the first time the block runs (see repro.sim.machine)
+        self.code: dict[BasicBlock, tuple] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -83,11 +86,13 @@ class Module:
             from repro.ir.verifier import verify_module
 
             verify_module(self)
+        self.code = {}
         next_uid = 1  # uid 0 is reserved as "no instruction"
         for g in self.globals.values():
             g.uid = next_uid
             next_uid += 1
         for fn in self.functions.values():
+            fn._allocas = None
             for block in fn.blocks:
                 block.uid = next_uid
                 self._block_by_uid[next_uid] = block
@@ -108,6 +113,7 @@ class Module:
         remapped by the fixer).  Only ever call this on a module that no
         uid-keyed consumer (caches, traces, breakpoints) has seen —
         fixes operate on fresh builder output for exactly that reason.
+        Pre-decoded code and each function's alloca list are dropped.
         """
         self.finalized = False
         self._instr_by_uid.clear()

@@ -5,6 +5,11 @@ memory, old bytes are overwritten once the buffer fills, and nothing is
 written to persistent storage until a snapshot is requested (at failure
 time or on demand).  ``snapshot()`` linearizes the surviving bytes in
 write order; decoding then re-synchronizes at the first intact PSB.
+
+The bytes live in an append-only ``bytearray`` that is trimmed to the
+newest ``capacity`` bytes once it reaches twice that: a write is one
+append, and a trim moves each byte at most once, instead of index
+arithmetic around a wrap point on every write.
 """
 
 from __future__ import annotations
@@ -15,31 +20,15 @@ class RingBuffer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buf = bytearray(capacity)
-        self._write_pos = 0
+        self._buf = bytearray()
         self.total_written = 0
 
     def write(self, data: bytes) -> None:
-        n = len(data)
-        if n == 0:
-            return
-        if n >= self.capacity:
-            # Only the newest `capacity` bytes survive.
-            self._buf[:] = data[-self.capacity :]
-            self._write_pos = 0
-            self.total_written += n
-            return
-        end = self._write_pos + n
-        if end <= self.capacity:
-            self._buf[self._write_pos : end] = data
-            self._write_pos = end % self.capacity
-        else:
-            first = self.capacity - self._write_pos
-            self._buf[self._write_pos :] = data[:first]
-            rest = n - first
-            self._buf[:rest] = data[first:]
-            self._write_pos = rest
-        self.total_written += n
+        buf = self._buf
+        buf += data
+        self.total_written += len(data)
+        if len(buf) >= 2 * self.capacity:
+            del buf[: -self.capacity]
 
     def write_tail(self, tail: bytes, total: int) -> None:
         """Account a ``total``-byte write of which only ``tail``, its
@@ -56,10 +45,8 @@ class RingBuffer:
 
     def snapshot(self) -> bytes:
         """The surviving bytes, oldest first."""
-        if not self.wrapped:
-            return bytes(self._buf[: self.total_written])
-        return bytes(self._buf[self._write_pos :]) + bytes(self._buf[: self._write_pos])
+        return bytes(self._buf[-self.capacity :])
 
     def clear(self) -> None:
-        self._write_pos = 0
+        self._buf.clear()
         self.total_written = 0

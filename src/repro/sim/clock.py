@@ -67,29 +67,30 @@ class VirtualClock:
 
     This plays the role of the invariant TSC in the paper (§3.2): a
     time source synchronized across all (virtual) cores that timing
-    packets and the coarse interleaving study read.
+    packets and the coarse interleaving study read.  ``now`` is a plain
+    attribute so the interpreter can add an instruction's cost to it
+    directly; costs are checked non-negative when a machine is built.
+    Everything else moves time through ``advance``/``advance_to``.
     """
 
-    def __init__(self, start: int = 0):
-        self._now = start
+    __slots__ = ("now",)
 
-    @property
-    def now(self) -> int:
-        return self._now
+    def __init__(self, start: int = 0):
+        self.now = start
 
     def advance(self, delta: int) -> int:
         if delta < 0:
             raise ValueError(f"clock cannot go backwards (delta={delta})")
-        self._now += delta
-        return self._now
+        self.now += delta
+        return self.now
 
     def advance_to(self, target: int) -> int:
-        if target > self._now:
-            self._now = target
-        return self._now
+        if target > self.now:
+            self.now = target
+        return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<VirtualClock {self._now}ns>"
+        return f"<VirtualClock {self.now}ns>"
 
 
 US = 1_000

@@ -68,6 +68,10 @@ class Memory:
         self._next_base = NULL_GUARD_SIZE
         self._bases: list[int] = []  # sorted, for containment lookup
         self._objects: dict[int, MemoryObject] = {}
+        # address -> its object, filled by the first successful lookup:
+        # bases are bump-allocated and never reused, so an entry never
+        # goes stale (a freed object stays, flagged, at its address)
+        self._owners: dict[int, MemoryObject] = {}
         self._words: dict[int, object] = {}
         self.bytes_allocated = 0
 
@@ -119,23 +123,33 @@ class Memory:
     # -- access --------------------------------------------------------------
 
     def check_access(self, address: int) -> MemoryObject:
-        if 0 <= address < NULL_GUARD_SIZE:
-            raise GuestFault("null", address)
-        obj = self.object_at(address)
+        obj = self._owners.get(address)
         if obj is None:
-            raise GuestFault("unmapped", address)
+            if 0 <= address < NULL_GUARD_SIZE:
+                raise GuestFault("null", address)
+            obj = self.object_at(address)
+            if obj is None:
+                raise GuestFault("unmapped", address)
+            self._owners[address] = obj
         if obj.freed:
             raise GuestFault("use-after-free", address, f"object from site {obj.alloc_site}")
         if address % 8 != 0:
             raise GuestFault("oob", address, "misaligned word access")
         return obj
 
+    # read_word/write_word inline check_access's hit path: an address
+    # seen before, of a live object, aligned
+
     def read_word(self, address: int) -> object:
-        self.check_access(address)
+        obj = self._owners.get(address)
+        if obj is None or obj.freed or address % 8:
+            self.check_access(address)
         return self._words.get(address, 0)
 
     def write_word(self, address: int, value: object) -> None:
-        self.check_access(address)
+        obj = self._owners.get(address)
+        if obj is None or obj.freed or address % 8:
+            self.check_access(address)
         self._words[address] = value
 
     def peek_word(self, address: int) -> object:
