@@ -172,9 +172,8 @@ def gen_thread_traces(
             tt.instructions.append(inst)
             tt.executed_uids.add(uid)
             tt.end_time = max(tt.end_time, t + width)
-        tt.timing_times = sorted(
-            rng.randrange(0, tt.end_time + 1) for _ in range(3)
-        )
+        for time in sorted(rng.randrange(0, tt.end_time + 1) for _ in range(3)):
+            tt.timing.add(time)
         traces[tid] = tt
     return traces
 

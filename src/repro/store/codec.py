@@ -32,7 +32,9 @@ from repro.core.andersen import AndersenResult, SolverStats, _ContentsNode
 from repro.core.cache import CachedAnalysis
 from repro.core.constraints import AbstractObject, generate_constraints
 
-CODEC_VERSION = 1
+# 2: a ThreadTrace summarises its timing (TimingSummary) instead of
+# listing every tick, so a trace stored in the old layout is a miss
+CODEC_VERSION = 2
 
 _PICKLE_PROTOCOL = 4  # stable across the supported CPythons (3.10+)
 

@@ -172,6 +172,15 @@ def test_snapshot_decodes_at_the_period_it_was_traced_with():
     assert all(d.t_lo <= time <= d.t_hi for d, time in zip(stores, truth))
     # the period is still sideband: an explicit one overrides the record
     wrong = snap.decode(m, mtc_period_ns=4096)
-    assert [t.timing_times for t in wrong.values()] != [
-        t.timing_times for t in traces.values()
-    ]
+
+    def intervals(decoded):
+        return [
+            [d.interval() for d in decoded[tid].instructions]
+            for tid in sorted(decoded)
+        ]
+
+    def timing(decoded):
+        return [decoded[tid].timing for tid in sorted(decoded)]
+
+    assert intervals(wrong) != intervals(traces)
+    assert timing(wrong) != timing(traces)

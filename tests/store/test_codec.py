@@ -70,6 +70,19 @@ def test_corrupt_or_alien_payloads_decode_as_miss(evidence):
     assert decode_analysis(b"", module, None, "andersen") is None
 
 
+def test_trace_from_an_older_codec_decodes_as_miss():
+    import pickle
+
+    from repro.pt.decoder import ThreadTrace
+    from repro.store.codec import CODEC_VERSION, decode_trace, encode_trace
+
+    trace = ThreadTrace(1)
+    trace.timing.add_run(4096, 3, 4096)
+    assert decode_trace(encode_trace(trace)) == trace
+    stale = pickle.dumps({"codec": CODEC_VERSION - 1, "trace": trace})
+    assert decode_trace(stale) is None
+
+
 def test_non_andersen_results_are_not_persisted(evidence):
     module, _ = evidence
     steensgaard = PointsToAnalysis(module, algorithm="steensgaard").run()
