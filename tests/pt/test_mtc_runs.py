@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.ir import parse_module
 from repro.pt import decoder
-from repro.pt.decoder import decode_thread_trace
+from repro.pt.decoder import TimingSummary, decode_thread_trace
 from repro.pt.packets import (
     MtcPacket,
     MtcRunPacket,
@@ -220,3 +220,22 @@ def test_decoder_runs_match_the_per_tick_oracle(data, period):
         oracle = _outcome(data, period)
     assert closed == oracle
     assert not isinstance(closed, str) and not closed.desync
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 5000), st.integers(1, 6), st.integers(1, 300)),
+        max_size=12,
+    )
+)
+def test_timing_summary_matches_the_value_list(runs):
+    summary, values = TimingSummary(), []
+    for jump, count, period in runs:
+        first = (values[-1] if values else 0) + jump
+        summary.add_run(first, count, period)
+        values.extend(first + k * period for k in range(count))
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    assert summary.count == len(values)
+    assert summary.max_gap == max(gaps, default=0)
+    if values:
+        assert (summary.first, summary.last) == (values[0], values[-1])
