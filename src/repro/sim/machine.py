@@ -328,6 +328,11 @@ class Machine:
             if gate is not None:
                 allowed = gate(self, runnable)
                 if not allowed:
+                    # ``runnable`` predates the wake above: a thread it
+                    # just woke (perhaps the one the gate waits for) gets
+                    # the next round before anyone is force-released
+                    if len(runnable) < sum(t.state == RUNNABLE for t in alive):
+                        continue
                     sleepers = [t for t in alive if t.state == SLEEPING]
                     if sleepers:
                         # every runnable thread is held at a gate; let

@@ -34,7 +34,9 @@ from repro.core.constraints import AbstractObject, generate_constraints
 
 # 2: a ThreadTrace summarises its timing (TimingSummary) instead of
 # listing every tick, so a trace stored in the old layout is a miss
-CODEC_VERSION = 2
+# 3: DynamicInstruction is a named tuple, not a frozen dataclass; a
+# trace pickled with the dataclass cannot be loaded, so it is a miss
+CODEC_VERSION = 3
 
 _PICKLE_PROTOCOL = 4  # stable across the supported CPythons (3.10+)
 

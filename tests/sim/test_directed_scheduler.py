@@ -5,13 +5,15 @@ seed that normally avoids it, and to *forbid* the order on a seed that
 normally hits it — without hanging when the directive is unsatisfiable.
 Plus the round-robin fairness regression: ``Scheduler.pick`` must resume
 from the successor position when ``_last`` left the runnable set, not
-restart at ``ordered[0]``.
+restart at ``ordered[0]``.  And the wake regression: a round whose gate
+holds every runnable thread must not force-release one while a thread
+the same round just woke could run instead.
 """
 
 import pytest
 
 from repro.ir import parse_module
-from repro.ir.instructions import Free, Load
+from repro.ir.instructions import Free, Load, Store
 from repro.sim import (
     DirectedScheduler,
     ForceOrder,
@@ -179,6 +181,66 @@ def test_unsatisfiable_order_degrades_to_a_free_run():
     assert result.outcome in ("success", "crash")  # finished, either way
     assert sched.releases > 0
     assert not sched.satisfied
+
+
+# the rival sleeps while main works; main's quantum crosses the rival's
+# wake time and stops at the gated load, so the round that holds main is
+# the round whose wake makes the rival runnable again
+WAKE_IN_HELD_ROUND = """
+module t
+global g: i64 = 0
+
+func worker() -> void {
+entry:
+  delay 100
+  store 1, @g
+  ret
+}
+
+func main() -> void {
+entry:
+  %t = spawn @worker()
+  delay 1
+  %a = malloc i64
+  %b = malloc i64
+  %c = malloc i64
+  %d = malloc i64
+  %v = load @g
+  join %t
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("mean_quantum", [24, 1000, 100_000])
+def test_rival_woken_in_the_held_round_runs_before_a_release(mean_quantum):
+    # regression: the gated round read its runnable list before waking
+    # sleepers, saw no sleeper left, and force-released main although
+    # the just-woken worker could run its gated store
+    module = parse_module(WAKE_IN_HELD_ROUND)
+    store_uid = next(
+        i.uid for i in module.functions["worker"].instructions() if isinstance(i, Store)
+    )
+    load_uid = next(
+        i.uid for i in module.functions["main"].instructions() if isinstance(i, Load)
+    )
+    for seed in range(20):
+        _, result, sched = _directed(
+            WAKE_IN_HELD_ROUND, seed, ForceOrder((store_uid, load_uid)), mean_quantum
+        )
+        assert result.outcome == "success", seed
+        assert sched.satisfied, seed
+        assert sched.releases == 0, seed
+
+
+def test_self_check_case_730302047_validates():
+    # the self-check case that exposed the bug above: an injected RWW
+    # bug whose inverse replay ran the failing order after a release
+    from repro.check.cases import CheckCase
+    from repro.check.stages import STAGES, run_validate
+
+    case = CheckCase("validate", 730302047, dict(STAGES["validate"].defaults))
+    run_validate(case)  # raises InvariantViolation if it does not validate
 
 
 def test_directed_free_run_matches_random_scheduler():

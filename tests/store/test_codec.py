@@ -83,6 +83,39 @@ def test_trace_from_an_older_codec_decodes_as_miss():
     assert decode_trace(stale) is None
 
 
+def test_trace_with_dataclass_instructions_decodes_as_miss(monkeypatch):
+    # codec 2 pickled each DynamicInstruction as a frozen dataclass; the
+    # named tuple that replaced it cannot be rebuilt from that state
+    import dataclasses
+    import pickle
+
+    from repro.pt import decoder
+    from repro.pt.decoder import ThreadTrace
+    from repro.store.codec import CODEC_VERSION, decode_trace
+
+    @dataclasses.dataclass(frozen=True)
+    class DynamicInstruction:
+        uid: int
+        tid: int
+        seq: int
+        t_lo: int
+        t_hi: int
+
+    DynamicInstruction.__module__ = decoder.__name__
+    DynamicInstruction.__qualname__ = "DynamicInstruction"
+    trace = ThreadTrace(1)
+    trace.instructions.append(DynamicInstruction(5, 1, 0, 100, 200))
+    with monkeypatch.context() as patch:
+        patch.setattr(decoder, "DynamicInstruction", DynamicInstruction)
+        blobs = [
+            pickle.dumps({"codec": codec, "trace": trace})
+            for codec in (CODEC_VERSION - 1, CODEC_VERSION)
+        ]
+    # stamped as the old codec, or even as the current one: a miss
+    for blob in blobs:
+        assert decode_trace(blob) is None
+
+
 def test_non_andersen_results_are_not_persisted(evidence):
     module, _ = evidence
     steensgaard = PointsToAnalysis(module, algorithm="steensgaard").run()
