@@ -205,6 +205,11 @@ class DiagnosisJobQueue:
 
     # -- lifecycle ---------------------------------------------------------
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` began: no intake, jobs draining."""
+        return self._closed
+
     def shutdown(self, wait: bool = True) -> None:
         """Stop intake; with ``wait`` drain every in-flight diagnosis."""
         with self._lock:

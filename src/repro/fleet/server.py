@@ -1023,6 +1023,11 @@ class FleetServer:
         while pending:
             agents = [c for c in self._agents.get(bug_id, []) if c.alive]
             if not agents:
+                if self.jobs.closed:
+                    # stop() is draining and its listener is closed, so
+                    # no endpoint can (re)connect to answer: give up now
+                    # instead of waiting out the wave's budget
+                    break
                 failures += 1
                 if not await self._reroute_pause(deadline, failures):
                     break

@@ -7,7 +7,8 @@ flushed out, pinned as regression tests.
   request reroutes;
 * a failed diagnosis job is evicted so a re-report retries it;
 * a result that cannot be delivered is counted, never silently lost;
-* a full server restart mid-diagnosis is survived end to end.
+* a full server restart mid-diagnosis is survived end to end;
+* a draining stop gives up waves that no endpoint is left to answer.
 """
 
 import asyncio
@@ -176,6 +177,22 @@ def test_no_endpoint_at_all_fails_with_backoff_not_spin(custom_module):
         assert server.metrics.counter("trace_requests_failed") == 3
     finally:
         server.stop()
+
+
+def test_draining_stop_gives_up_a_wave_no_endpoint_can_answer(custom_module):
+    # regression: stop() drains in-flight jobs after closing its
+    # listener; a job still collecting for a bug whose endpoints had hung
+    # up waited out request_timeout on every wave, although no endpoint
+    # could reconnect to answer it
+    server = _server(custom_module, request_timeout=120.0)
+    request = TraceRequest(label="probe", seed=1, breakpoint_uids=(2,))
+    future, _ = server.jobs.submit(
+        "orphaned", lambda: server._remote_batch(BUG, [request])
+    )
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 10.0
+    assert [r.outcome for r in future.result(timeout=0)] == ["unreachable"]
 
 
 # -- failed jobs retry ------------------------------------------------------
