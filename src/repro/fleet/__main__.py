@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import FleetError
+from repro.corpus import bug as corpus_bug
+from repro.errors import CorpusError, FleetError
 from repro.fleet.chaos import FaultPlan
 from repro.fleet.simulation import DEFAULT_BUGS, FleetConfig, run_fleet
 from repro.obs import MetricsRegistry
@@ -29,7 +30,6 @@ def _verify_digests(result, metrics, config) -> list[str]:
     the evidence-equivalence contract says transport must not change
     the evidence, but the stopping *rule* legitimately does.
     """
-    from repro.corpus import bug as corpus_bug
     from repro.fleet.server import report_digest
     from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
 
@@ -252,6 +252,12 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the in-process digest cross-check",
     )
     args = parser.parse_args(argv)
+    bug_ids = tuple(b.strip() for b in args.bugs.split(",") if b.strip())
+    for bug_id in bug_ids:
+        try:
+            corpus_bug(bug_id)
+        except CorpusError:
+            parser.error(f"--bugs: unknown bug id {bug_id!r}")
 
     plan = FaultPlan(
         seed=args.chaos_seed,
@@ -269,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics_port = 0  # the scrape artifact needs a live endpoint
     config = FleetConfig(
         agents=args.agents,
-        bug_ids=tuple(b.strip() for b in args.bugs.split(",") if b.strip()),
+        bug_ids=bug_ids,
         reporters_per_bug=args.reporters,
         workers=args.workers,
         max_pending=args.max_pending,

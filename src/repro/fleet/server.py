@@ -66,6 +66,11 @@ from repro.runtime.server import CollectionPolicy, SnorlaxServer
 # cap on trace requests per endpoint per round of a wave: keeps one slow
 # endpoint from hoarding a whole wave, and bounds its reply budget
 AGENT_BATCH_LIMIT = 8
+# capped exponential backoff between reroutes of a trace request chunk
+REROUTE_BACKOFF_BASE_S = 0.02
+REROUTE_BACKOFF_CAP_S = 0.5
+# events the dashboard's rolling timeline keeps
+TIMELINE_LIMIT = 256
 
 
 def format_signature(bug_id: str, kind: str, failing_uid: int) -> str:
@@ -213,8 +218,6 @@ class FleetServer:
         stability_window: int = 3,
         adaptive_min_traces: int = 4,
         trace_reply_timeout: float = 30.0,
-        reroute_backoff_base_s: float = 0.02,
-        reroute_backoff_cap_s: float = 0.5,
         collection_deadline_s: float | None = None,
         min_success_traces: int = 1,
         frame_timeout: float = 30.0,
@@ -228,7 +231,6 @@ class FleetServer:
         anomaly_detector: EwmaAnomalyDetector | None = None,
         dashboard_port: int | None = None,
         clock: Callable[[], float] | None = None,
-        timeline_limit: int = 256,
     ):
         self.host = host
         self.port = port
@@ -239,8 +241,6 @@ class FleetServer:
         # answer per request before its chunk is rerouted elsewhere
         self.request_timeout = request_timeout
         self.trace_reply_timeout = trace_reply_timeout
-        self.reroute_backoff_base_s = reroute_backoff_base_s
-        self.reroute_backoff_cap_s = reroute_backoff_cap_s
         # bound a started frame's payload: a corrupted length field must
         # sever the connection, not wedge its reader forever
         self.frame_timeout = frame_timeout
@@ -320,7 +320,7 @@ class FleetServer:
         self._evidence: dict[str, EvidenceGraph] = {}
         self._evidence_lock = threading.Lock()
         # rolling event timeline for the dashboard (loop-confined)
-        self._timeline: deque[dict] = deque(maxlen=timeline_limit)
+        self._timeline: deque[dict] = deque(maxlen=TIMELINE_LIMIT)
         # signature -> digest of anomaly-triggered diagnoses (loop-confined)
         self._anomaly_digests: dict[str, dict] = {}
         # signature -> digest of every finished diagnosis (loop-confined)
@@ -1126,8 +1126,8 @@ class FleetServer:
         """Capped exponential backoff between reroute attempts; False
         once the request's wall-clock budget is spent."""
         delay = min(
-            self.reroute_backoff_cap_s,
-            self.reroute_backoff_base_s * (2 ** min(failures, 16)),
+            REROUTE_BACKOFF_CAP_S,
+            REROUTE_BACKOFF_BASE_S * (2 ** min(failures, 16)),
         )
         loop = asyncio.get_running_loop()
         if loop.time() + delay >= deadline:

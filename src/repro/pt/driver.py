@@ -7,17 +7,23 @@ hardware breakpoint so the trace is saved when execution reaches a given
 program counter — used to collect traces from *successful* runs at a
 previous failure location (Figure 2, step 8).
 
-``PTDriver`` implements the machine's :class:`TraceDriver` protocol.
+``PTDriver`` only manages buffers, breakpoints and snapshots, as the
+real driver does: the CPU writes packets straight into each thread's
+buffer.  ``start_thread`` gives the machine a thread's
+:class:`ThreadEncoder` when the thread starts; the machine reports that
+thread's control flow and timing to it directly, and ``end_thread``
+seals it when the thread returns from its root.  The encoder's hooks
+return the modeled overhead ns charged to the traced thread;
+``overhead_fraction`` of a run is what Figure 8 measures.
+``live_threads`` counts the started, unfinished threads, the
+buffer-management term of a delay's charge (Figure 9).
 ``arm_breakpoint`` wires a machine breakpoint to a snapshot, including
-the paper's trigger-once semantics.  All hooks return the modeled
-overhead ns charged to the traced thread; ``overhead_fraction`` of a
-run is what Figure 8 measures.
+the paper's trigger-once semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.pt.decoder import ThreadTrace, decode_thread_trace
 from repro.pt.encoder import EncoderStats, ThreadEncoder
@@ -46,91 +52,40 @@ class TraceSnapshot:
 
 
 class PTDriver:
-    def __init__(self, config: TraceConfig | None = None, enabled: bool = True):
+    def __init__(self, config: TraceConfig | None = None):
         self.config = config or TraceConfig()
-        self.enabled = enabled
         self.encoders: dict[int, ThreadEncoder] = {}
         self.live_threads = 0
         self.snapshot: TraceSnapshot | None = None
-        self.total_overhead_ns = 0
 
-    # -- TraceDriver protocol ----------------------------------------------
+    # -- thread lifecycle -----------------------------------------------------
 
-    def on_thread_start(self, tid: int, start_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
+    def start_thread(self, tid: int, start_uid: int, time: int) -> ThreadEncoder:
+        """Set up ``tid``'s ring buffer, opened with a sync point at
+        ``start_uid``; the machine reports the thread's events to the
+        returned encoder until :meth:`end_thread`."""
         enc = ThreadEncoder(tid, self.config)
         self.encoders[tid] = enc
         self.live_threads += 1
-        return self._charge(enc.start(start_uid, time))
+        enc.start(start_uid, time)  # thread creation is not charged
+        return enc
 
-    def on_cond_branch(self, tid: int, taken: bool, target_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].cond_branch(taken, target_uid, time))
-
-    def on_indirect_call(self, tid: int, target_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].indirect_call(target_uid, time))
-
-    def on_call(self, tid: int, callee_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].call(callee_uid, time))
-
-    def on_ret(self, tid: int, resume_uid: int | None, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].ret(resume_uid, time))
-
-    def on_br(self, tid: int, target_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].br(target_uid, time))
-
-    def on_work(
-        self, tid: int, instr_uid: int, resume_uid: int, start: int, duration: int
-    ) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(
-            self.encoders[tid].work(
-                instr_uid, resume_uid, start, duration, self.live_threads
-            )
-        )
-
-    def on_block(self, tid: int, instr_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].block(instr_uid, time))
-
-    def on_wake(self, tid: int, resume_uid: int, time: int) -> int:
-        if not self.enabled:
-            return 0
-        return self._charge(self.encoders[tid].wake(resume_uid, time))
-
-    def on_thread_end(self, tid: int, time: int) -> None:
-        if not self.enabled:
-            return
-        enc = self.encoders.get(tid)
-        if enc is not None:
-            enc.end(time)
-        self.live_threads = max(0, self.live_threads - 1)
+    def end_thread(self, enc: ThreadEncoder, time: int) -> None:
+        """Seal ``enc``'s ring: its thread returned from its root."""
+        enc.end(time)
+        self.live_threads -= 1
 
     # -- snapshots ------------------------------------------------------------
 
     def take_snapshot(
         self, reason: str, positions: dict[int, int], time: int
-    ) -> TraceSnapshot | None:
+    ) -> TraceSnapshot:
         """Save every thread's ring buffer (first snapshot wins).
 
         ``positions`` maps tid -> current instruction uid, used as the
         FUP stop markers so the decoder ends each thread's walk exactly
         where that thread was at snapshot time.
         """
-        if not self.enabled:
-            return None
         if self.snapshot is not None:
             return self.snapshot
         snap = TraceSnapshot(reason, time, mtc_period_ns=self.config.mtc_period_ns)
@@ -164,32 +119,8 @@ class PTDriver:
 
         machine.breakpoints[uid] = _hit
 
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def snapshots(self) -> dict[int, bytes]:
-        """tid -> bytes of the saved snapshot (empty if none taken)."""
-        return dict(self.snapshot.buffers) if self.snapshot else {}
-
-    @property
-    def metadata(self) -> dict[str, Any]:
-        if not self.snapshot:
-            return {}
-        return {
-            "reason": self.snapshot.reason,
-            "time": self.snapshot.time,
-            "positions": dict(self.snapshot.positions),
-        }
-
     def stats(self) -> dict[int, EncoderStats]:
         return {tid: enc.stats for tid, enc in self.encoders.items()}
-
-    def total_trace_bytes(self) -> int:
-        return sum(enc.stats.total_bytes for enc in self.encoders.values())
-
-    def _charge(self, ns: int) -> int:
-        self.total_overhead_ns += ns
-        return ns
 
 
 def overhead_fraction(duration_with: int, duration_without: int) -> float:

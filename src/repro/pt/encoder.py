@@ -89,7 +89,7 @@ class ThreadEncoder:
                 self.stats.max_timing_gap_ns = gap
         self._last_timing_time = time
 
-    # -- event API (called by the driver) ---------------------------------
+    # -- event API (called by the machine) --------------------------------
 
     def start(self, start_uid: int, time: int) -> int:
         self._next_uid = start_uid

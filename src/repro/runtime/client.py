@@ -33,7 +33,7 @@ class ClientRun:
     result: ExecutionResult
     failure: FailureCode | None
     snapshot: TraceSnapshot | None
-    driver: PTDriver
+    driver: PTDriver | None  # None when the client runs untraced
 
     @property
     def failed(self) -> bool:
@@ -70,26 +70,28 @@ class SnorlaxClient:
         traces come from executions of varying maturity.  On failure the
         driver snapshots at the failure point regardless.
         """
-        driver = PTDriver(self.trace_config, enabled=self.tracing)
+        driver = PTDriver(self.trace_config) if self.tracing else None
         machine = Machine(
             self.module,
             scheduler=scheduler or self.policy.build(seed),
             cost_model=self.cost_model,
-            trace_driver=driver if self.tracing else None,
+            trace_driver=driver,
             watch_uids=watch_uids,
             max_steps=self.max_steps,
         )
-        if self.tracing:
+        if driver is not None:
             for uid in breakpoint_uids:
                 driver.arm_breakpoint(machine, uid, skip=breakpoint_skip)
         result = machine.run(self.entry, self.workload(seed))
         failure = classify(result)
-        snapshot = driver.snapshot
-        if failure is not None and snapshot is None and self.tracing:
-            # fail-stop: the driver saves the trace at the failure
-            snapshot = driver.take_snapshot(
-                "failure", machine.thread_positions(), machine.clock.now
-            )
+        snapshot = None
+        if driver is not None:
+            snapshot = driver.snapshot
+            if failure is not None and snapshot is None:
+                # fail-stop: the driver saves the trace at the failure
+                snapshot = driver.take_snapshot(
+                    "failure", machine.thread_positions(), machine.clock.now
+                )
         return ClientRun(seed, result, failure, snapshot, driver)
 
     def run_untraced(

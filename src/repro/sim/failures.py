@@ -68,8 +68,6 @@ class ExecutionResult:
     duration: int  # virtual ns from start to finish/failure
     failure: FailureReport | None = None
     event_log: Any = None  # EventLog if instrumentation was on
-    trace_snapshots: dict[int, bytes] = field(default_factory=dict)  # tid -> ring bytes
-    trace_metadata: dict[str, Any] = field(default_factory=dict)
     thread_stats: dict[int, ThreadStats] = field(default_factory=dict)
     instructions_executed: int = 0
     exit_value: Any = None

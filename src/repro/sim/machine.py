@@ -8,9 +8,12 @@ cycle), or hang (global stall without a cycle).
 
 Extension points:
 
-* ``trace_driver`` — receives control-flow and timing callbacks; the
-  PT-like driver in :mod:`repro.pt.driver` implements this interface to
-  build per-thread ring buffers and charge tracing overhead.
+* ``trace_driver`` — the PT-like driver of :mod:`repro.pt.driver`.  It
+  hands each thread a :class:`~repro.pt.encoder.ThreadEncoder` when the
+  thread starts (``SimThread.trace``); the interpreter reports the
+  thread's branches, calls, returns, delays, blocks and wakes to that
+  encoder directly and charges the overhead ns each returns to the
+  clock.  A thread returning from its root is ended at the driver.
 * ``instrumentation`` — a per-instruction hook charged before execution;
   the Gist baseline implements its monitoring (and its contention
   overhead model) here.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.ir.basicblock import BasicBlock
@@ -94,37 +97,9 @@ from repro.sim.failures import (
 from repro.sim.memory import GuestFault, Memory, MemoryObject
 from repro.sim.scheduler import RandomScheduler, Scheduler
 
-
-class TraceDriver(Protocol):
-    """What the machine needs from a control-flow tracing backend.
-
-    Every hook may return extra nanoseconds to charge the traced thread
-    (how the PT driver models its packet-write overhead).  ``uid``
-    payloads are instruction uids — the IR's equivalent of the
-    instruction pointers a real PT TIP/FUP packet carries.
-    """
-
-    def on_thread_start(self, tid: int, start_uid: int, time: int) -> int: ...
-
-    def on_cond_branch(self, tid: int, taken: bool, target_uid: int, time: int) -> int: ...
-
-    def on_indirect_call(self, tid: int, target_uid: int, time: int) -> int: ...
-
-    def on_call(self, tid: int, callee_uid: int, time: int) -> int: ...
-
-    def on_ret(self, tid: int, resume_uid: int | None, time: int) -> int: ...
-
-    def on_br(self, tid: int, target_uid: int, time: int) -> int: ...
-
-    def on_work(
-        self, tid: int, instr_uid: int, resume_uid: int, start: int, duration: int
-    ) -> int: ...
-
-    def on_block(self, tid: int, instr_uid: int, time: int) -> int: ...
-
-    def on_wake(self, tid: int, resume_uid: int, time: int) -> int: ...
-
-    def on_thread_end(self, tid: int, time: int) -> None: ...
+if TYPE_CHECKING:
+    from repro.pt.driver import PTDriver
+    from repro.pt.encoder import ThreadEncoder
 
 
 class Instrumentation(Protocol):
@@ -174,6 +149,7 @@ class SimThread:
     pending_lock: int | None = None  # address being acquired
     pending_lock_instr: int = 0
     return_value: Any = None
+    trace: ThreadEncoder | None = None  # set at start when traced
 
     @property
     def alive(self) -> bool:
@@ -190,7 +166,7 @@ class Machine:
         module: Module,
         scheduler: Scheduler | None = None,
         cost_model: CostModel | None = None,
-        trace_driver: TraceDriver | None = None,
+        trace_driver: PTDriver | None = None,
         instrumentation: Instrumentation | None = None,
         watch_uids: set[int] | None = None,
         max_steps: int = 20_000_000,
@@ -272,33 +248,16 @@ class Machine:
     # -- public API ----------------------------------------------------------
 
     def run(self, entry: str = "main", args: tuple = ()) -> ExecutionResult:
-        fn = self.module.function(entry)
-        main = self._spawn_thread(fn, list(args))
-        if self.driver is not None:
-            self.driver.on_thread_start(
-                main.tid, fn.entry.instructions[0].uid, self.clock.now
-            )
+        main = self._spawn_thread(self.module.function(entry), list(args))
         try:
             self._loop()
         except StepLimitExceeded:
             self._outcome = "step-limit"
-        outcome = self._outcome or "success"
-        snapshots: dict[int, bytes] = {}
-        metadata: dict[str, Any] = {}
-        if self.driver is not None:
-            snap = getattr(self.driver, "snapshots", None)
-            if snap:
-                snapshots = dict(snap)
-            meta = getattr(self.driver, "metadata", None)
-            if meta:
-                metadata = dict(meta)
         return ExecutionResult(
-            outcome=outcome,
+            outcome=self._outcome or "success",
             duration=self.clock.now,
             failure=self._failure,
             event_log=self.event_log,
-            trace_snapshots=snapshots,
-            trace_metadata=metadata,
             thread_stats=self.stats,
             instructions_executed=self._steps,
             exit_value=self.threads[main.tid].return_value,
@@ -409,6 +368,10 @@ class Machine:
         self.threads[tid] = thread
         self.stats[tid] = ThreadStats(tid)
         self._push_frame(thread, fn, args, call_site=None)
+        if self.driver is not None:
+            thread.trace = self.driver.start_thread(
+                tid, fn.entry.instructions[0].uid, self.clock.now
+            )
         return thread
 
     def _push_frame(
@@ -579,15 +542,13 @@ class Machine:
     def _do_call(self, thread: SimThread, frame: Frame, instr: Call, stats) -> bool:
         callee = self._resolve_callee(frame, instr.callee)
         args = [self._value(frame, a) for a in instr.args]
-        if self.driver is not None:
+        trace = thread.trace
+        if trace is not None:
+            entry_uid = callee.entry.instructions[0].uid
             if instr.is_direct:
-                extra = self.driver.on_call(
-                    thread.tid, callee.entry.instructions[0].uid, self.clock.now
-                )
+                extra = trace.call(entry_uid, self.clock.now)
             else:
-                extra = self.driver.on_indirect_call(
-                    thread.tid, callee.entry.instructions[0].uid, self.clock.now
-                )
+                extra = trace.indirect_call(entry_uid, self.clock.now)
             if extra:
                 self.clock.advance(extra)
         self._push_frame(thread, callee, args, call_site=instr)
@@ -599,9 +560,10 @@ class Machine:
         if not thread.frames:
             thread.state = DONE
             thread.return_value = value
-            if self.driver is not None:
-                self.driver.on_ret(thread.tid, None, self.clock.now)
-                self.driver.on_thread_end(thread.tid, self.clock.now)
+            trace = thread.trace
+            if trace is not None:
+                trace.ret(None, self.clock.now)
+                self.driver.end_thread(trace, self.clock.now)
             self._wake_joiners(thread.tid)
             return False
         caller = thread.frame
@@ -609,9 +571,10 @@ class Machine:
         if value is not None:
             caller.values[call_site] = value
         caller.index += 1
-        if self.driver is not None:
+        trace = thread.trace
+        if trace is not None:
             resume_uid = caller.block.instructions[caller.index].uid
-            extra = self.driver.on_ret(thread.tid, resume_uid, self.clock.now)
+            extra = trace.ret(resume_uid, self.clock.now)
             if extra:
                 self.clock.advance(extra)
         return False
@@ -630,12 +593,7 @@ class Machine:
     def _do_spawn(self, thread: SimThread, frame: Frame, instr: Spawn, stats) -> bool:
         callee = self._resolve_callee(frame, instr.callee)
         args = [self._value(frame, a) for a in instr.args]
-        child = self._spawn_thread(callee, args)
-        frame.values[instr] = child.tid
-        if self.driver is not None:
-            self.driver.on_thread_start(
-                child.tid, callee.entry.instructions[0].uid, self.clock.now
-            )
+        frame.values[instr] = self._spawn_thread(callee, args).tid
         self._record_event(instr, thread, "other", None)
         return True
 
@@ -646,22 +604,46 @@ class Machine:
             raise GuestFault("unmapped", target_tid, "join on unknown thread")
         if target.state in (DONE, CRASHED):
             return True
-        thread.state = BLOCKED_JOIN
         thread.join_target = target_tid
-        if self.driver is not None:
-            self.driver.on_block(thread.tid, instr.uid, self.clock.now)
+        self._block(thread, BLOCKED_JOIN, instr)
         return False
 
     def _wake_joiners(self, finished_tid: int) -> None:
         for t in self.threads.values():
             if t.state == BLOCKED_JOIN and t.join_target == finished_tid:
-                t.state = RUNNABLE
-                t.join_target = None
-                t.frame.index += 1  # move past the join
-                if self.driver is not None:
-                    frame = t.frame
-                    resume = frame.block.instructions[frame.index].uid
-                    self.driver.on_wake(t.tid, resume, self.clock.now)
+                self._wake(t)
+
+    # -- blocking and waking ------------------------------------------------------
+
+    def _block(
+        self,
+        thread: SimThread,
+        state: str,
+        instr: Instruction,
+        addr: int | None = None,
+    ) -> None:
+        """Switch ``thread`` out, blocked on ``instr`` (on the sync object
+        at ``addr``, if any): the trace gets a position marker and an
+        exact timestamp, like PT's mode packets at a context switch."""
+        thread.state = state
+        if addr is not None:
+            thread.pending_lock = addr
+            thread.pending_lock_instr = instr.uid
+        if thread.trace is not None:
+            thread.trace.block(instr.uid, self.clock.now)
+
+    def _wake(self, thread: SimThread) -> None:
+        """Wake a blocked thread: the op it blocked on completed on its
+        behalf, so it resumes *past* that instruction."""
+        thread.state = RUNNABLE
+        thread.pending_lock = None
+        thread.pending_lock_instr = 0
+        thread.join_target = None
+        frame = thread.frame
+        frame.index += 1
+        if thread.trace is not None:
+            resume = frame.block.instructions[frame.index].uid
+            thread.trace.wake(resume, self.clock.now)
 
     # -- locks -------------------------------------------------------------------
 
@@ -691,13 +673,7 @@ class Machine:
             self._outcome = "deadlock"
             return False
         table.add_waiter(addr, thread.tid, instr.uid, self.clock.now)
-        thread.state = BLOCKED_LOCK
-        thread.pending_lock = addr
-        thread.pending_lock_instr = instr.uid
-        if self.driver is not None:
-            # A blocked thread context-switches out; the trace carries a
-            # position marker + exact timestamp (like PT's mode packets).
-            self.driver.on_block(thread.tid, instr.uid, self.clock.now)
+        self._block(thread, BLOCKED_LOCK, instr, addr)
         cycle = table.find_deadlock_cycle(thread.tid)
         if cycle:
             self._deadlock(cycle)
@@ -710,41 +686,10 @@ class Machine:
         self._record_event(instr, thread, "unlock", addr)
         next_tid = self.locks.table.release(addr, thread.tid)
         if next_tid is not None:
-            waiter = self.threads[next_tid]
-            waiter.state = RUNNABLE
-            waiter.pending_lock = None
-            waiter.pending_lock_instr = 0
-            waiter.frame.index += 1  # move past the blocked lock instruction
-            if self.driver is not None:
-                wframe = waiter.frame
-                resume = wframe.block.instructions[wframe.index].uid
-                self.driver.on_wake(waiter.tid, resume, self.clock.now)
+            self._wake(self.threads[next_tid])
         return True
 
     # -- richer sync primitives (condvar / rwlock / semaphore / barrier) ----
-
-    def _block_on_sync(
-        self, thread: SimThread, state: str, addr: int, instr: Instruction
-    ) -> None:
-        """Common bookkeeping when a sync op cannot complete yet."""
-        thread.state = state
-        thread.pending_lock = addr
-        thread.pending_lock_instr = instr.uid
-        if self.driver is not None:
-            self.driver.on_block(thread.tid, instr.uid, self.clock.now)
-
-    def _wake_from_sync(self, tid: int) -> None:
-        """Wake a thread blocked mid-instruction on a sync primitive:
-        the op completed on its behalf, so resume *past* it."""
-        waiter = self.threads[tid]
-        waiter.state = RUNNABLE
-        waiter.pending_lock = None
-        waiter.pending_lock_instr = 0
-        waiter.frame.index += 1  # move past the blocked instruction
-        if self.driver is not None:
-            wframe = waiter.frame
-            resume = wframe.block.instructions[wframe.index].uid
-            self.driver.on_wake(waiter.tid, resume, self.clock.now)
 
     def _do_cond_wait(
         self, thread: SimThread, frame: Frame, instr: CondWait, stats
@@ -754,7 +699,7 @@ class Machine:
         stats.lock_ops += 1
         self._record_event(instr, thread, "read", addr)
         self.locks.conds.wait(addr, thread.tid)
-        self._block_on_sync(thread, BLOCKED_COND, addr, instr)
+        self._block(thread, BLOCKED_COND, instr, addr)
         return False
 
     def _do_cond_notify(
@@ -766,7 +711,7 @@ class Machine:
         self._record_event(instr, thread, "write", addr)
         tid = self.locks.conds.notify(addr)
         if tid is not None:
-            self._wake_from_sync(tid)
+            self._wake(self.threads[tid])
         # else: the signal found no waiter and is lost — the semantics
         # behind every lost-wakeup bug in the corpus
         return True
@@ -788,7 +733,7 @@ class Machine:
         if acquired:
             return True
         rw.add_waiter(addr, thread.tid, mode, instr.uid, self.clock.now)
-        self._block_on_sync(thread, BLOCKED_RW, addr, instr)
+        self._block(thread, BLOCKED_RW, instr, addr)
         cycle = self._find_sync_cycle(thread.tid)
         if cycle:
             self._deadlock(cycle)
@@ -802,7 +747,7 @@ class Machine:
         stats.lock_ops += 1
         self._record_event(instr, thread, "unlock", addr)
         for tid in self.locks.rw.release(addr, thread.tid):
-            self._wake_from_sync(tid)
+            self._wake(self.threads[tid])
         return True
 
     def _do_sem_wait(
@@ -816,7 +761,7 @@ class Machine:
         if sems.try_wait(addr):
             return True
         sems.add_waiter(addr, thread.tid)
-        self._block_on_sync(thread, BLOCKED_SEMA, addr, instr)
+        self._block(thread, BLOCKED_SEMA, instr, addr)
         return False
 
     def _do_sem_post(
@@ -828,7 +773,7 @@ class Machine:
         self._record_event(instr, thread, "write", addr)
         tid = self.locks.sems.post(addr)
         if tid is not None:
-            self._wake_from_sync(tid)
+            self._wake(self.threads[tid])
         return True
 
     def _do_barrier_wait(
@@ -840,10 +785,10 @@ class Machine:
         self._record_event(instr, thread, "read", addr)
         woken = self.locks.barriers.arrive(addr, thread.tid)
         if woken is None:
-            self._block_on_sync(thread, BLOCKED_BARRIER, addr, instr)
+            self._block(thread, BLOCKED_BARRIER, instr, addr)
             return False
         for tid in woken:
-            self._wake_from_sync(tid)
+            self._wake(self.threads[tid])
         return True  # the tripping arrival continues immediately
 
     def _deadlock(self, cycle: list) -> None:
@@ -1103,10 +1048,10 @@ def _compile_br(instr: Br, global_addr) -> Callable[..., bool]:
     def run(m, thread, frame, stats):
         frame.block = target
         frame.index = 0
-        driver = m.driver
-        if driver is not None:
+        trace = thread.trace
+        if trace is not None:
             clock = m.clock
-            extra = driver.on_br(thread.tid, target_uid, clock.now)
+            extra = trace.br(target_uid, clock.now)
             if extra:
                 clock.advance(extra)
         stats.branches += 1
@@ -1131,10 +1076,10 @@ def _compile_cond_br(instr: CondBr, global_addr) -> Callable[..., bool]:
         else:
             taken, frame.block, target_uid = False, else_block, else_uid
         frame.index = 0
-        driver = m.driver
-        if driver is not None:
+        trace = thread.trace
+        if trace is not None:
             clock = m.clock
-            extra = driver.on_cond_branch(thread.tid, taken, target_uid, clock.now)
+            extra = trace.cond_branch(taken, target_uid, clock.now)
             if extra:
                 clock.advance(extra)
         stats.branches += 1
@@ -1160,9 +1105,9 @@ def _compile_delay(instr: Delay, global_addr) -> Callable[..., bool]:
             raise GuestFault("oob", 0, f"negative delay {duration}")
         start = m.clock.now
         extra = 0
-        driver = m.driver
-        if driver is not None:
-            extra = driver.on_work(thread.tid, uid, resume_uid, start, duration)
+        trace = thread.trace
+        if trace is not None:
+            extra = trace.work(uid, resume_uid, start, duration, m.driver.live_threads)
         thread.wake_time = start + duration + extra
         thread.state = SLEEPING
         frame.index += 1

@@ -51,3 +51,10 @@ def test_sharded_population_faults_are_counted_per_agent():
     assert all(o.faults_injected.get("delayed") for o in population)
     per_agent = sum(sum(o.faults_injected.values()) for o in result.outcomes)
     assert per_agent == result.faults_injected > 0
+
+
+def test_cli_rejects_unknown_bug_ids_as_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--agents", "4", "--bugs", "aget-2,nosuch-1"])
+    assert exc.value.code == 2
+    assert "nosuch-1" in capsys.readouterr().err

@@ -101,15 +101,6 @@ def test_breakpoint_skip_past_all_hits_means_no_snapshot():
     assert driver.snapshot is None
 
 
-def test_disabled_driver_is_free():
-    m = _module()
-    driver = PTDriver(enabled=False)
-    machine = Machine(m, trace_driver=driver)
-    machine.run("main", (3,))
-    assert driver.total_overhead_ns == 0
-    assert driver.take_snapshot("x", {}, 0) is None
-
-
 def test_tracing_overhead_positive_but_small():
     m = _module()
     base = Machine(m, scheduler=RandomScheduler(1)).run("main", (5,))
@@ -184,3 +175,51 @@ def test_snapshot_decodes_at_the_period_it_was_traced_with():
 
     assert intervals(wrong) != intervals(traces)
     assert timing(wrong) != timing(traces)
+
+
+LIVE_SRC = """
+module live
+global g: i64 = 0
+func worker() -> void {
+entry:
+  delay 50000
+  store 1, @g    @ w.c:20
+  delay 50000
+  ret
+}
+func main() -> void {
+entry:
+  %a = spawn @worker()
+  %b = spawn @worker()
+  join %a
+  join %b
+  ret
+}
+"""
+
+
+def test_live_threads_counts_started_unfinished_threads():
+    # the delay charge's per-thread buffer-management term (Figure 9)
+    # reads driver.live_threads through the machine
+    m = parse_module(LIVE_SRC)
+    after_delay = next(i.uid for i in m.instructions() if i.loc and i.loc.line == 20)
+    driver = PTDriver()
+    machine = Machine(m, scheduler=RandomScheduler(0), trace_driver=driver)
+    seen = []
+    machine.breakpoints[after_delay] = lambda mach, thread, instr: seen.append(
+        (thread.tid, driver.live_threads)
+    )
+    result = machine.run("main")
+    assert result.outcome == "success"
+    # both hits come while main and the other worker are still alive
+    assert sorted(tid for tid, _ in seen) == [2, 3]
+    assert [live for _, live in seen] == [3, 3]
+    assert driver.live_threads == 0
+    assert set(driver.encoders) == set(machine.threads) == {1, 2, 3}
+    for tid, thread in machine.threads.items():
+        assert thread.trace is driver.encoders[tid]
+    # each worker delay spans 12+ MTC boundaries, the ticks the
+    # buffer-management term is charged for
+    boundaries = 50000 // driver.config.mtc_period_ns
+    for tid in (2, 3):
+        assert driver.encoders[tid].stats.timing_packets >= 2 * boundaries
