@@ -147,31 +147,39 @@ def gen_thread_traces(
 ) -> dict[int, ThreadTrace]:
     """Synthetic per-thread decoded traces sharing a uid pool.
 
-    Mimics the decoder's output shape: per-thread seq order, monotone
-    ``t_lo``, intervals of varying width (including the zero-width
-    instants timing-packet-adjacent instructions get), and some threads
-    fully desynced (no PSB found: nothing decoded).
+    Mimics the decoder's output shape: run records of one or more uids
+    that share one interval, drawn from a pool of run tuples that runs
+    share by identity (as the walk table's are) and cut short where a
+    thread's trace ends (as the stop uid splits a run); per-thread seq
+    order, monotone ``t_lo``, intervals of varying width (including the
+    zero-width instants timing-packet-adjacent instructions get), and
+    some threads fully desynced (no PSB found: nothing decoded).
     """
     threads = max(1, params.get("threads", 4))
     events = max(1, params.get("events", 12))
     uid_pool = [100 + i for i in range(max(1, params.get("uids", 6)))]
     desync_pct = params.get("desync_pct", 30)
     zero_pct = params.get("zero_width_pct", 10)
+    run_pool = [
+        tuple(rng.sample(uid_pool, rng.randint(1, min(3, len(uid_pool)))))
+        for _ in range(max(1, len(uid_pool) // 2))
+    ]
     traces: dict[int, ThreadTrace] = {}
     for tid in range(1, threads + 1):
         tt = ThreadTrace(tid)
         tt.desync = rng.randrange(100) < desync_pct
         t = rng.randrange(0, 2_000)
-        for seq in range(events):
+        seq = 0
+        while seq < events:
             t += rng.randrange(1, 4_000)
             width = 0 if rng.randrange(100) < zero_pct else rng.randrange(
                 1, 6_000
             )
-            uid = rng.choice(uid_pool)
-            inst = DynamicInstruction(uid, tid, seq, t, t + width)
-            tt.instructions.append(inst)
-            tt.executed_uids.add(uid)
+            uids = rng.choice(run_pool)[: events - seq]
+            tt.runs.append((uids, t, t + width, seq))
+            tt.executed_uids.update(uids)
             tt.end_time = max(tt.end_time, t + width)
+            seq += len(uids)
         for time in sorted(rng.randrange(0, tt.end_time + 1) for _ in range(3)):
             tt.timing.add(time)
         traces[tid] = tt
@@ -189,8 +197,8 @@ def gen_anchor(
     the timestamp lands anywhere in the window — often *before* decoded
     instances of the same uid."""
     decoded_uids = sorted(
-        {d.uid for tt in traces.values() if not tt.desync
-         for d in tt.instructions}
+        {uid for tt in traces.values() if not tt.desync
+         for uid in tt.executed_uids}
     )
     fresh_pct = params.get("anchor_fresh_pct", 30)
     if decoded_uids and rng.randrange(100) >= fresh_pct:

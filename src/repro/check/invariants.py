@@ -123,7 +123,10 @@ def check_processed_trace(
     * ``executed_uids`` ⊇ the uids of the dynamic trace (and of every
       non-desynced input thread trace, when given);
     * ``by_uid`` partitions ``dynamic`` exactly, each bucket sorted by
-      ``(t_lo, seq)`` — the order ``instances()`` consumers rely on;
+      ``(t_lo, seq)`` — the order ``instances()`` consumers rely on.
+      ``dynamic`` expands the run records on its own and reuses a
+      bucket's object only for an equal value, so this also checks
+      that the lazy per-uid expansion lost, added and changed nothing;
     * the anchor(s), when set, are members of the dynamic trace;
     * the partial order is sane (see :func:`check_partial_order`).
     """

@@ -234,8 +234,9 @@ class DecodedTraceCache(_LruCache):
 
     Key: (module fingerprint, tid, buffer SHA-256, MTC period).  The
     returned :class:`~repro.pt.decoder.ThreadTrace` is shared between
-    diagnoses and must be treated as read-only — the pipeline only ever
-    copies out of it (``process_snapshot`` builds fresh state).
+    diagnoses and must be treated as read-only — ``process_snapshot``
+    reads its run records in place and files every instance it makes,
+    anchors included, in the ``ProcessedTrace`` it builds.
     """
 
     def __init__(self, max_entries: int = 1024):

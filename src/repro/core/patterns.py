@@ -549,9 +549,6 @@ def synthesize_blocked_attempts(
         already = any(d.tid == tid and d.uid == uid for d in trace.instances(uid))
         if already:
             continue
-        seq = 1 + max((d.seq for d in trace.dynamic if d.tid == tid), default=-1)
-        inst = DynamicInstruction(uid, tid, seq, since, since)
-        # add_instance registers the blocked thread (its own trace may be
-        # desynced) and the re-sort keeps instances() in (t_lo, seq) order.
-        trace.add_instance(inst)
-        trace.by_uid[uid].sort(key=lambda d: (d.t_lo, d.seq))
+        # synthesize registers the blocked thread (its own trace may be
+        # desynced) and files the attempt in (t_lo, seq) order.
+        trace.synthesize(uid, tid, since)

@@ -8,7 +8,8 @@ rest of the pipeline runs on:
   counts once).  Hybrid points-to analysis restricts its scope to this
   set.
 * the **partially-ordered dynamic instruction trace** (step 3) — every
-  decoded dynamic instruction with its ``[t_lo, t_hi)`` interval.  Two
+  decoded dynamic instruction with its ``[t_lo, t_hi)`` interval, kept
+  as the decoder's run records and expanded one uid at a time.  Two
   dynamic instructions from different threads are ordered iff their
   intervals are disjoint; same-thread instructions are totally ordered
   by program order.  The timing granularity of the trace (the MTC
@@ -20,42 +21,125 @@ rest of the pipeline runs on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.checkpoints import checkpoint
-from repro.pt.decoder import DynamicInstruction, ThreadTrace
+from repro.pt.decoder import DynamicInstruction, Run, ThreadTrace
+
+# The order instances() returns: (t_lo, seq), fields 3 and 2 of the tuple.
+_BUCKET_ORDER = itemgetter(3, 2)
 
 
 @dataclass
 class ProcessedTrace:
-    """The per-execution artifact every later pipeline stage consumes."""
+    """The per-execution artifact every later pipeline stage consumes.
+
+    The dynamic trace stays in the decoder's compressed form, one run
+    record per straight-line run; ``instances(uid)`` expands only the
+    uid it is asked about (DESIGN.md §21).
+    """
 
     label: str  # e.g. "failure" or "success-3"
     failing: bool
     executed_uids: set[int] = field(default_factory=set)
-    dynamic: list[DynamicInstruction] = field(default_factory=list)
-    by_uid: dict[int, list[DynamicInstruction]] = field(default_factory=dict)
     threads: set[int] = field(default_factory=set)
     anchor: DynamicInstruction | None = None  # the failure / breakpoint hit
     anchors: list[DynamicInstruction] = field(default_factory=list)
     snapshot_time: int = 0
     max_timing_gap: int = 0
+    # each decoded thread's (tid, run records), in merge order
+    _runs: list[tuple[int, list[Run]]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    # synthesized instances (anchors, blocked attempts), in the order added
+    _added: list[DynamicInstruction] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _next_seq: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    # uid -> [(tid, offset, runs with the same uids)], built on demand
+    _index: dict[int, list] | None = field(default=None, init=False, repr=False)
+    _buckets: dict[int, list[DynamicInstruction]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def add_instance(self, inst: DynamicInstruction) -> None:
-        self.dynamic.append(inst)
-        self.by_uid.setdefault(inst.uid, []).append(inst)
+        """File an instance that is not in the decoded runs."""
+        bucket = self.instances(inst.uid)
+        bucket.append(inst)
+        bucket.sort(key=_BUCKET_ORDER)
+        self._added.append(inst)
         self.executed_uids.add(inst.uid)
         self.threads.add(inst.tid)
+        if inst.seq >= self._next_seq.get(inst.tid, 0):
+            self._next_seq[inst.tid] = inst.seq + 1
+
+    def synthesize(self, uid: int, tid: int, time: int) -> DynamicInstruction:
+        """Add a precise instance of ``uid`` on ``tid`` at ``time``,
+        numbered after every instance the thread already has."""
+        inst = DynamicInstruction(uid, tid, self._next_seq.get(tid, 0), time, time)
+        self.add_instance(inst)
+        return inst
 
     def instances(self, uid: int) -> list[DynamicInstruction]:
-        return self.by_uid.get(uid, [])
+        """Every instance of ``uid``, sorted by ``(t_lo, seq)``.
 
-    def ordered_before(self, a: DynamicInstruction, b: DynamicInstruction) -> bool:
-        """a definitely executed before b (partial order of §4.1)."""
-        return a.before(b)
+        Expanded from the runs on the first call and memoized, so later
+        calls return the same list of the same objects.
+        """
+        bucket = self._buckets.get(uid)
+        if bucket is None:
+            bucket = [
+                DynamicInstruction(uid, tid, seq0 + k, t_lo, t_hi)
+                for tid, k, group in self._run_index().get(uid, ())
+                for _uids, t_lo, t_hi, seq0 in group
+            ]
+            bucket.sort(key=_BUCKET_ORDER)
+            self._buckets[uid] = bucket
+        return bucket
 
-    def concurrent(self, a: DynamicInstruction, b: DynamicInstruction) -> bool:
-        """Neither ordering is certain (overlapping intervals, two threads)."""
-        return not a.before(b) and not b.before(a)
+    def _run_index(self) -> dict[int, list]:
+        """Where each uid occurs.  Each thread's runs are grouped by
+        their uids (the walk table shares each tuple between runs), so
+        building this costs one step per run and per distinct run, never
+        one per executed instruction.  Entries keep the merge order of
+        threads, which the stable bucket sort keeps for ties."""
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for tid, runs in self._runs:
+                groups: dict[tuple[int, ...], list[Run]] = {}
+                for run in runs:
+                    groups.setdefault(run[0], []).append(run)
+                for uids, group in groups.items():
+                    for k, uid in enumerate(uids):
+                        index.setdefault(uid, []).append((tid, k, group))
+        return index
+
+    # -- expanded views: goldens, the self-check and tests ------------------
+
+    @property
+    def by_uid(self) -> dict[int, list[DynamicInstruction]]:
+        """Every non-empty ``instances()`` bucket, keyed by uid."""
+        uids = [*self._run_index(), *(d.uid for d in self._added)]
+        return {uid: b for uid in dict.fromkeys(uids) if (b := self.instances(uid))}
+
+    @property
+    def dynamic(self) -> list[DynamicInstruction]:
+        """The whole dynamic trace: decoded threads in merge order, each
+        in program order, then the synthesized instances in the order
+        added.  Expanded from the runs independently of ``instances()``
+        but made of its objects, so the two can be checked against each
+        other by identity; an instance the buckets lack stays a fresh
+        object."""
+        filed = {d: d for bucket in self.by_uid.values() for d in bucket}
+        out = []
+        for tid, runs in self._runs:
+            for uids, t_lo, t_hi, seq0 in runs:
+                for k, uid in enumerate(uids):
+                    d = DynamicInstruction(uid, tid, seq0 + k, t_lo, t_hi)
+                    out.append(filed.get(d, d))
+        out.extend(self._added)
+        return out
 
     def last_instance_before(
         self, uid: int, bound: DynamicInstruction
@@ -78,44 +162,38 @@ def process_snapshot(
 ) -> ProcessedTrace:
     """Build a :class:`ProcessedTrace` from decoded per-thread traces.
 
-    ``anchor_uid`` is the failure PC (for failing executions) or the
-    breakpoint PC (for successful executions collected at the previous
-    failure location, step 8).  The anchor instruction itself usually is
-    not in the decoded stream — it is the stop position — so a precise
-    dynamic instance is synthesized for it at ``anchor_time`` (the
-    failure/snapshot timestamp the error tracker reports).
+    Merges per-thread summaries and keeps the run records as they are:
+    no per-instruction work.  ``anchor_uid`` is the failure PC (for
+    failing executions) or the breakpoint PC (for successful executions
+    collected at the previous failure location, step 8).  The anchor
+    instruction itself usually is not in the decoded stream — it is the
+    stop position — so a precise dynamic instance is synthesized for it
+    at ``anchor_time`` (the failure/snapshot timestamp the error tracker
+    reports).
     """
     pt = ProcessedTrace(label=label, failing=failing)
+    next_seq = pt._next_seq
     for tid, trace in thread_traces.items():
         if trace.desync:
             continue
         pt.threads.add(tid)
         pt.executed_uids |= trace.executed_uids
-        pt.dynamic.extend(trace.instructions)
+        pt._runs.append((trace.tid, trace.runs))
+        next_seq[trace.tid] = max(next_seq.get(trace.tid, 0), trace.next_seq)
         pt.max_timing_gap = max(pt.max_timing_gap, trace.max_timing_gap())
         pt.snapshot_time = max(pt.snapshot_time, trace.end_time)
-    for d in pt.dynamic:
-        pt.by_uid.setdefault(d.uid, []).append(d)
-    for instances in pt.by_uid.values():
-        instances.sort(key=lambda d: (d.t_lo, d.seq))
     if anchor_uid is not None:
         t = anchor_time if anchor_time is not None else pt.snapshot_time
         tid = anchor_tid if anchor_tid is not None else _position_thread(
             thread_traces, anchor_uid
         )
-        seq = 1 + max(
-            (d.seq for d in pt.dynamic if d.tid == tid), default=-1
-        )
-        anchor = DynamicInstruction(anchor_uid, tid, seq, t, t)
-        pt.anchor = anchor
-        # add_instance registers the anchor's thread too — essential when
+        # synthesize registers the anchor's thread too — essential when
         # the anchoring thread's own trace was fully desynced and skipped
-        # above, so the anchor is its only dynamic evidence.
-        pt.add_instance(anchor)
-        # Restore the per-uid (t_lo, seq) order: the anchor's timestamp
-        # can precede decoded instances of the same uid, and instances()
-        # consumers (attach_anchor's "last instance" pick) rely on it.
-        pt.by_uid[anchor_uid].sort(key=lambda d: (d.t_lo, d.seq))
+        # above, so the anchor is its only dynamic evidence — and files
+        # it in (t_lo, seq) order: its timestamp can precede decoded
+        # instances of the same uid, and instances() consumers
+        # (attach_anchor's "last instance" pick) rely on that order.
+        pt.anchor = pt.synthesize(anchor_uid, tid, t)
     checkpoint("trace_processing.process_snapshot", trace=pt)
     return pt
 
@@ -154,10 +232,7 @@ def attach_anchor(
                 trace.anchor = anchor
             return anchor
     t = time if time is not None else trace.snapshot_time
-    seq = 1 + max((d.seq for d in trace.dynamic if d.tid == tid), default=-1)
-    anchor = DynamicInstruction(uid, tid, seq, t, t)
-    trace.add_instance(anchor)
-    trace.by_uid[uid].sort(key=lambda d: (d.t_lo, d.seq))
+    anchor = trace.synthesize(uid, tid, t)
     trace.anchors.append(anchor)
     if trace.anchor is None:
         trace.anchor = anchor

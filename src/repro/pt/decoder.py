@@ -7,13 +7,16 @@ direct calls and unconditional branches are reconstructed statically;
 conditional branches consume TNT bits; indirect calls and uncompressed
 returns consume TIPs; MTC/TSC packets advance the time bound.
 
-The output is a :class:`ThreadTrace` whose dynamic instructions carry
-``[t_lo, t_hi)`` intervals — the *partial order* of §4.1: two dynamic
+The output is a :class:`ThreadTrace` of run records: each straight-line
+run the walk took, with the ``[t_lo, t_hi)`` interval every instruction
+of the run shares — the *partial order* of §4.1: two dynamic
 instructions are ordered iff their intervals do not overlap.  Interval
 width equals the gap between adjacent timing packets, which is what
 makes the coarse interleaving hypothesis operational: gaps between
 target events (>= 91 us in the study) dwarf the interval width
-(~ the MTC period).
+(~ the MTC period).  Runs stay compressed; per-instruction
+:class:`DynamicInstruction` values are made only for the uids analysis
+asks about (``ProcessedTrace.instances``).
 """
 
 from __future__ import annotations
@@ -176,10 +179,17 @@ class TimingSummary:
         self.last = first + (count - 1) * period
 
 
+# A decoded straight-line run: ``(uids, t_lo, t_hi, seq0)``.  Every uid
+# of the run shares the interval; the k-th has seq ``seq0 + k``.
+Run = tuple[tuple[int, ...], int, int, int]
+
+
 @dataclass
 class ThreadTrace:
     tid: int
-    instructions: list[DynamicInstruction] = field(default_factory=list)
+    # In program order.  ``uids`` is the walk-table tuple ``Module.walk``
+    # shares between runs (a slice of it where the stop uid splits one).
+    runs: list[Run] = field(default_factory=list)
     executed_uids: set[int] = field(default_factory=set)
     start_time: int = 0
     end_time: int = 0
@@ -193,6 +203,28 @@ class ThreadTrace:
     def max_timing_gap(self) -> int:
         """Longest gap between adjacent timing packets (paper: 65 us)."""
         return self.timing.max_gap
+
+    @property
+    def next_seq(self) -> int:
+        """The seq after the last decoded instruction (0 when none)."""
+        if not self.runs:
+            return 0
+        uids, _t_lo, _t_hi, seq0 = self.runs[-1]
+        return seq0 + len(uids)
+
+    @property
+    def instructions(self) -> list[DynamicInstruction]:
+        """Every decoded instruction, expanded in program order.
+
+        A fresh list on each call, for goldens and tests; analysis reads
+        the runs through ``ProcessedTrace.instances``.
+        """
+        tid = self.tid
+        return [
+            DynamicInstruction(uid, tid, seq0 + k, t_lo, t_hi)
+            for uids, t_lo, t_hi, seq0 in self.runs
+            for k, uid in enumerate(uids)
+        ]
 
 
 def decode_thread_trace(
@@ -247,7 +279,6 @@ class _Walker:
         self.pos: int | None = None  # uid the walk starts at (PSB anchor)
         self.stack: list[int] = []  # return positions (uids)
         self.bits: deque[bool] = deque()
-        self.seq = 0
         self.t_lo = 0
         self.last_period: int | None = None
         self.period_guess = mtc_period_ns
@@ -594,11 +625,10 @@ class _Walker:
         return tip.uid
 
     def _finish(self) -> None:
-        """Expand each run record into per-instruction values."""
+        """Resolve each run record's final bounds and number its uids."""
         trace = self.trace
         end = trace.end_time or self.t_lo
-        tid = trace.tid
-        out = trace.instructions
+        runs = trace.runs
         seq = 0
         latest = 0
         for uids, t_lo, t_hi in self._records:
@@ -608,10 +638,9 @@ class _Walker:
                 t_hi = t_lo
             if t_hi > latest:
                 latest = t_hi
-            for uid in uids:
-                out.append(DynamicInstruction(uid, tid, seq, t_lo, t_hi))
-                seq += 1
-        if not trace.end_time and out:
+            runs.append((uids, t_lo, t_hi, seq))
+            seq += len(uids)
+        if not trace.end_time and runs:
             trace.end_time = latest
 
 

@@ -36,7 +36,9 @@ from repro.core.constraints import AbstractObject, generate_constraints
 # listing every tick, so a trace stored in the old layout is a miss
 # 3: DynamicInstruction is a named tuple, not a frozen dataclass; a
 # trace pickled with the dataclass cannot be loaded, so it is a miss
-CODEC_VERSION = 3
+# 4: a ThreadTrace keeps its decoded run records instead of one value
+# per executed instruction, so a trace stored in the old layout is a miss
+CODEC_VERSION = 4
 
 _PICKLE_PROTOCOL = 4  # stable across the supported CPythons (3.10+)
 

@@ -38,10 +38,10 @@ def test_unsorted_uid_bucket_is_rejected():
     # corrupt: append out of (t_lo, seq) order, the pre-fix anchor bug
     uid = next(iter(pt.by_uid))
     early = DynamicInstruction(uid, 77, 0, 0, 0)
-    pt.dynamic.append(early)
-    pt.threads.add(77)
-    pt.executed_uids.add(uid)
-    pt.by_uid[uid].append(early)
+    pt.add_instance(early)  # files it in order and registers its thread
+    bucket = pt.instances(uid)
+    bucket.remove(early)
+    bucket.append(early)
     with pytest.raises(InvariantViolation) as exc:
         invariants.check_processed_trace(pt, traces, rng=rng)
     assert "by-uid" in exc.value.invariant
@@ -53,11 +53,35 @@ def test_unregistered_thread_is_rejected():
     pt = process_snapshot("t", traces, failing=True)
     uid = next(iter(pt.by_uid))
     ghost = DynamicInstruction(uid, 88, 0, 10, 10)
-    pt.dynamic.append(ghost)
-    pt.by_uid[uid].append(ghost)
-    pt.by_uid[uid].sort(key=lambda d: (d.t_lo, d.seq))
-    with pytest.raises(InvariantViolation):
+    pt.add_instance(ghost)
+    pt.threads.discard(88)
+    with pytest.raises(InvariantViolation) as exc:
         invariants.check_processed_trace(pt, traces, rng=rng)
+    assert exc.value.invariant == "threads-cover-dynamic"
+
+
+def test_bucket_missing_a_decoded_instance_is_rejected():
+    rng = random.Random(4)
+    traces = generator.gen_thread_traces(rng, _params())
+    pt = process_snapshot("t", traces, failing=True)
+    uid = next(iter(pt.by_uid))
+    pt.instances(uid).pop()  # lazy expansion lost one occurrence
+    with pytest.raises(InvariantViolation) as exc:
+        invariants.check_processed_trace(pt, traces, rng=rng)
+    assert exc.value.invariant == "by-uid-partitions-dynamic"
+
+
+def test_bucket_with_a_wrong_interval_is_rejected():
+    rng = random.Random(5)
+    traces = generator.gen_thread_traces(rng, _params())
+    pt = process_snapshot("t", traces, failing=True)
+    uid = next(iter(pt.by_uid))
+    bucket = pt.instances(uid)
+    d = bucket[-1]
+    bucket[-1] = d._replace(t_hi=d.t_hi + 1)
+    with pytest.raises(InvariantViolation) as exc:
+        invariants.check_processed_trace(pt, traces, rng=rng)
+    assert exc.value.invariant == "by-uid-partitions-dynamic"
 
 
 # -- partial-order oracle ----------------------------------------------------

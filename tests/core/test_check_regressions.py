@@ -9,20 +9,18 @@ lives in ``tests/fleet/test_jobs.py``.
 from repro.core.patterns import PatternInstance, PatternSignature
 from repro.core.statistics import observe, score_patterns
 from repro.core.trace_processing import attach_anchor, process_snapshot
-from repro.pt.decoder import DynamicInstruction, ThreadTrace
+from repro.pt.decoder import ThreadTrace
 
 
-def _dyn(uid, tid, seq, lo, hi):
-    return DynamicInstruction(uid, tid, seq, lo, hi)
-
-
-def _thread(tid, instructions, desync=False):
-    tt = ThreadTrace(tid)
-    tt.desync = desync
-    tt.instructions = list(instructions)
-    tt.executed_uids = {d.uid for d in instructions}
-    tt.end_time = max((d.t_hi for d in instructions), default=0)
-    return tt
+def _thread(tid, runs, desync=False):
+    """A decoded thread from run records ``(uids, t_lo, t_hi, seq0)``."""
+    return ThreadTrace(
+        tid,
+        runs=list(runs),
+        executed_uids={uid for uids, *_ in runs for uid in uids},
+        end_time=max((t_hi for _, _, t_hi, _ in runs), default=0),
+        desync=desync,
+    )
 
 
 # -- process_snapshot anchor bookkeeping (fix: registration + ordering) -----
@@ -33,8 +31,8 @@ def test_anchor_registers_fully_desynced_thread():
     # nothing, so the anchor is that thread's only dynamic evidence.
     # It must still land in threads / executed_uids / by_uid.
     traces = {
-        1: _thread(1, [_dyn(10, 1, 0, 0, 50), _dyn(11, 1, 1, 60, 90)]),
-        2: _thread(2, [_dyn(10, 2, 0, 100, 160)], desync=True),
+        1: _thread(1, [((10,), 0, 50, 0), ((11,), 60, 90, 1)]),
+        2: _thread(2, [((10,), 100, 160, 0)], desync=True),
     }
     pt = process_snapshot(
         "x", traces, failing=True,
@@ -49,7 +47,7 @@ def test_anchor_merges_into_uid_bucket_in_order():
     # An anchor timestamped before decoded instances of the same uid
     # must not break the per-uid (t_lo, seq) order instances() promises.
     traces = {
-        1: _thread(1, [_dyn(10, 1, 0, 500, 550), _dyn(10, 1, 1, 600, 640)]),
+        1: _thread(1, [((10,), 500, 550, 0), ((10,), 600, 640, 1)]),
     }
     pt = process_snapshot(
         "x", traces, failing=True,
@@ -66,7 +64,7 @@ def test_attach_anchor_synthesized_keeps_bucket_sorted():
     # synthesized anchor earlier than the decoded instances must sort
     # into place, so the "last instance" pick stays correct afterwards.
     traces = {
-        1: _thread(1, [_dyn(10, 1, 0, 400, 450)]),
+        1: _thread(1, [((10,), 400, 450, 0)]),
     }
     pt = process_snapshot("x", traces, failing=True)
     attach_anchor(pt, 10, 2, 50, prefer_decoded=False)

@@ -21,12 +21,10 @@ def test_partial_order_semantics():
 
 
 def test_process_snapshot_merges_threads():
-    t1 = ThreadTrace(1)
-    t1.instructions = [_dyn(10, 1, 0, 0, 50), _dyn(11, 1, 1, 60, 90)]
+    t1 = ThreadTrace(1, runs=[((10,), 0, 50, 0), ((11,), 60, 90, 1)])
     t1.executed_uids = {10, 11}
     t1.end_time = 100
-    t2 = ThreadTrace(2)
-    t2.instructions = [_dyn(10, 2, 0, 200, 260)]
+    t2 = ThreadTrace(2, runs=[((10,), 200, 260, 0)])
     t2.executed_uids = {10}
     t2.end_time = 300
     pt = process_snapshot("x", {1: t1, 2: t2}, failing=False)
@@ -37,8 +35,7 @@ def test_process_snapshot_merges_threads():
 
 
 def test_attach_anchor_prefers_decoded_instance():
-    t1 = ThreadTrace(1)
-    t1.instructions = [_dyn(10, 1, 0, 0, 50)]
+    t1 = ThreadTrace(1, runs=[((10,), 0, 50, 0)])
     t1.executed_uids = {10}
     t1.end_time = 100
     pt = process_snapshot("x", {1: t1}, failing=True)
@@ -47,8 +44,7 @@ def test_attach_anchor_prefers_decoded_instance():
 
 
 def test_attach_anchor_synthesizes_at_failure_time():
-    t1 = ThreadTrace(1)
-    t1.instructions = [_dyn(10, 1, 0, 0, 50)]
+    t1 = ThreadTrace(1, runs=[((10,), 0, 50, 0)])
     t1.executed_uids = {10}
     t1.end_time = 100
     pt = process_snapshot("x", {1: t1}, failing=True)

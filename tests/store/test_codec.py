@@ -83,6 +83,30 @@ def test_trace_from_an_older_codec_decodes_as_miss():
     assert decode_trace(stale) is None
 
 
+def test_run_record_trace_round_trips_exactly():
+    import pickle
+
+    from repro.pt.decoder import ThreadTrace
+    from repro.store.codec import CODEC_VERSION, decode_trace, encode_trace
+
+    walk = (7, 8, 9)  # one walk-table tuple shared by two runs
+    trace = ThreadTrace(
+        2,
+        runs=[(walk, 0, 4096, 0), (walk, 4096, 8192, 3), (walk[:1], 8192, 8192, 6)],
+        executed_uids={7, 8, 9},
+        end_time=8192,
+        stop_uid=8,
+    )
+    trace.timing.add_run(4096, 2, 4096)
+    loaded = decode_trace(encode_trace(trace))
+    assert loaded == trace
+    assert loaded.instructions == trace.instructions
+    assert loaded.runs[0][0] is loaded.runs[1][0]  # sharing survives
+    assert CODEC_VERSION == 4
+    v3 = pickle.dumps({"codec": 3, "trace": trace})
+    assert decode_trace(v3) is None
+
+
 def test_trace_with_dataclass_instructions_decodes_as_miss(monkeypatch):
     # codec 2 pickled each DynamicInstruction as a frozen dataclass; the
     # named tuple that replaced it cannot be rebuilt from that state
@@ -103,8 +127,9 @@ def test_trace_with_dataclass_instructions_decodes_as_miss(monkeypatch):
 
     DynamicInstruction.__module__ = decoder.__name__
     DynamicInstruction.__qualname__ = "DynamicInstruction"
-    trace = ThreadTrace(1)
-    trace.instructions.append(DynamicInstruction(5, 1, 0, 100, 200))
+    # the layout before run records kept per-instruction values
+    trace = ThreadTrace(1, runs=[((5,), 100, 200, 0)])
+    vars(trace)["instructions"] = [DynamicInstruction(5, 1, 0, 100, 200)]
     with monkeypatch.context() as patch:
         patch.setattr(decoder, "DynamicInstruction", DynamicInstruction)
         blobs = [
