@@ -18,9 +18,13 @@ the information loss of real PT:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.pt.packets import (
+    TAG_FUP,
+    TAG_TIP,
+    TAG_TSC,
     TNT_MAX_BITS,
     encode_fup,
     encode_mtc_run,
@@ -31,6 +35,12 @@ from repro.pt.packets import (
 )
 from repro.pt.ringbuffer import RingBuffer
 from repro.pt.timing import TraceConfig
+
+# A delay region's sides, each packed in one go: FUP(position) + TSC at
+# entry, TIP(resume) + TSC at exit (see ThreadEncoder.work).  FUP, TIP
+# and TSC are all 9 bytes long.
+_REGION_SIDE = struct.Struct("<BQBQ")
+_PACKET_BYTES = _REGION_SIDE.size // 2
 
 
 @dataclass
@@ -75,6 +85,9 @@ class ThreadEncoder:
         self._next_uid = 0  # position anchor for PSBs and final flush
         self._ended = False
         self._last_timing_time: int | None = None
+        # the config's hot fields, read on every event
+        self._period = self.config.mtc_period_ns
+        self._psb_interval = self.config.psb_interval_bytes
 
     def _note_timing(self, time: int, blind: bool = False) -> None:
         """Track the longest running-span gap between timing packets.
@@ -95,14 +108,22 @@ class ThreadEncoder:
         self._next_uid = start_uid
         return self._emit_sync(time)
 
+    # The hot hooks return at once when time is still in the last timed
+    # MTC period (no timing owed) and inline the PSB check.
+
     def cond_branch(self, taken: bool, target_uid: int, time: int) -> int:
-        cost = self._catch_up_timing(time)
-        self._pending_tnt.append(taken)
+        if time // self._period == self._last_period:
+            cost = 0
+        else:
+            cost = self._catch_up_timing(time)
+        pending = self._pending_tnt  # after catch-up, which may flush it
+        pending.append(taken)
         self.stats.tnt_bits += 1
         self._next_uid = target_uid
-        if len(self._pending_tnt) >= TNT_MAX_BITS:
+        if len(pending) >= TNT_MAX_BITS:
             cost += self._flush_tnt()
-        cost += self._maybe_psb(time)
+        if self._bytes_since_psb >= self._psb_interval:
+            cost += self._emit_sync(time)
         return cost
 
     def indirect_call(self, target_uid: int, time: int) -> int:
@@ -119,28 +140,39 @@ class ThreadEncoder:
         # deepens the return-compression stack.
         self._ret_depth += 1
         self._next_uid = callee_uid
+        if time // self._period == self._last_period:
+            return 0
         return self._catch_up_timing(time)
 
     def ret(self, resume_uid: int | None, time: int) -> int:
-        cost = self._catch_up_timing(time)
+        if time // self._period == self._last_period:
+            cost = 0
+        else:
+            cost = self._catch_up_timing(time)
         if self._ret_depth > 0:
             # Compressed return: a taken TNT bit (exactly real PT).
             self._ret_depth -= 1
-            self._pending_tnt.append(True)
-            self.stats.tnt_bits += 1
-            self.stats.compressed_rets += 1
-            if len(self._pending_tnt) >= TNT_MAX_BITS:
+            pending = self._pending_tnt
+            pending.append(True)
+            stats = self.stats
+            stats.tnt_bits += 1
+            stats.compressed_rets += 1
+            if len(pending) >= TNT_MAX_BITS:
                 cost += self._flush_tnt()
         elif resume_uid is not None:
             cost += self._flush_tnt()
             cost += self._emit_control(encode_tip(resume_uid))
             self.stats.tips += 1
             self._next_uid = resume_uid
-        return cost + self._maybe_psb(time)
+        if self._bytes_since_psb >= self._psb_interval:
+            cost += self._emit_sync(time)
+        return cost
 
     def br(self, target_uid: int, time: int) -> int:
         # Unconditional branch: statically decodable, timing catch-up only.
         self._next_uid = target_uid
+        if time // self._period == self._last_period:
+            return 0
         return self._catch_up_timing(time)
 
     def work(
@@ -162,37 +194,71 @@ class ThreadEncoder:
         real code's own packets are already covered by the per-byte
         rate); the MTC run plus per-thread buffer management is the
         modeled overhead (Figure 9 grows with ``live_threads``).
+
+        Pending TNT bits, the sandwich and its MTC run reach the ring in
+        one write, and
+        the statistics and timing-gap reference are updated
+        arithmetically: a ring's observable state is its newest
+        ``capacity`` bytes plus ``total_written``, which one
+        concatenated write leaves exactly as the packet-by-packet
+        writes would.
         """
-        cost = self._catch_up_timing(start)
-        cost += self._flush_tnt()
-        self._emit_control(encode_fup(instr_uid))
-        self._emit_timing(encode_tsc(start))
-        self._note_timing(start)
+        config = self.config
+        period = self._period
+        if start // period == self._last_period:
+            cost = 0
+        else:
+            cost = self._catch_up_timing(start)
+        tnt = self._take_tnt()
         end = start + duration
-        period = self.config.mtc_period_ns
         first = start // period + 1
         last = end // period
-        n_boundaries = max(0, last - first + 1)
+        n_boundaries = last - first + 1
+        stats = self.stats
+        # the running gaps the region's timing packets close: entry TSC
+        # after the previous timing packet, then either the first
+        # interior MTC (at most one period in) or the exit TSC
+        gap = start - self._last_timing_time
+        inner = min(period, duration) if n_boundaries > 0 else duration
+        if inner > gap:
+            gap = inner
+        if gap > stats.max_timing_gap_ns:
+            stats.max_timing_gap_ns = gap
+        self._last_timing_time = end
+        entry = tnt + _REGION_SIDE.pack(TAG_FUP, instr_uid, TAG_TSC, start)
+        exit_ = _REGION_SIDE.pack(TAG_TIP, resume_uid, TAG_TSC, end)
+        ring = self.ring
         if n_boundaries > 100_000:
             # Backstop against absurd spans (hours of virtual sleep):
             # a single TSC stands in for the MTC run.
-            cost += self._emit_timing(encode_tsc(last * period))
+            ring.write(entry + encode_tsc(last * period) + exit_)
+            run_bytes = _PACKET_BYTES
+            stats.timing_packets += 1
         elif n_boundaries > 0:
-            cost += self._emit_mtc_run(first, n_boundaries)
-        if n_boundaries > 0:
-            cost += int(
-                n_boundaries * self.config.per_packet_mgmt_ns * max(0, live_threads - 1)
+            run_bytes = 2 * n_boundaries
+            ring.write_tail(
+                encode_mtc_run(first, n_boundaries, ring.capacity),
+                run_bytes,
+                entry,
+                exit_,
             )
-        if n_boundaries > 0:
-            # interior MTCs tick every period; the largest running gap
-            # inside the span is one period
-            self._note_timing(min(start + period, end))
-            self._note_timing(end, blind=True)
-        self._emit_control(encode_tip(resume_uid))
-        self.stats.tips += 1
-        self._emit_timing(encode_tsc(end))
-        self._note_timing(end)
-        self._last_period = end // period
+            stats.timing_packets += n_boundaries
+        else:
+            ring.write(entry + exit_)
+            run_bytes = 0
+        cost += len(tnt) * config.per_byte_cost_ns
+        if run_bytes:
+            cost += run_bytes * config.per_byte_cost_ns + int(
+                n_boundaries * config.per_packet_mgmt_ns * max(0, live_threads - 1)
+            )
+        # FUP and TIP are control packets, the two TSCs timing packets
+        stats.control_packets += 2
+        stats.control_bytes += 2 * _PACKET_BYTES
+        stats.timing_packets += 2
+        stats.timing_bytes += 2 * _PACKET_BYTES + run_bytes
+        stats.tips += 1
+        self._bytes_since_psb += 4 * _PACKET_BYTES + run_bytes
+        self._last_period = last
         self._next_uid = resume_uid
         return cost
 
@@ -282,12 +348,26 @@ class ThreadEncoder:
         self.stats.timing_bytes += size
         return size * self.config.per_byte_cost_ns
 
-    def _flush_tnt(self) -> int:
-        if not self._pending_tnt:
-            return 0
+    def _take_tnt(self) -> bytes:
+        """The pending TNT bits as one accounted packet, for the caller
+        to write (empty when none are pending)."""
         bits = self._pending_tnt
+        if not bits:
+            return b""
         self._pending_tnt = []
-        return self._emit_control(encode_tnt(bits))
+        data = encode_tnt(bits)
+        stats = self.stats
+        stats.control_packets += 1
+        stats.control_bytes += len(data)
+        self._bytes_since_psb += len(data)
+        return data
+
+    def _flush_tnt(self) -> int:
+        data = self._take_tnt()
+        if not data:
+            return 0
+        self.ring.write(data)
+        return len(data) * self.config.per_byte_cost_ns
 
     def _catch_up_timing(self, time: int) -> int:
         """Emit the timing packets owed for virtual time reaching ``time``."""
@@ -315,23 +395,16 @@ class ThreadEncoder:
         return self._emit_sync(time)
 
     def _emit_sync(self, time: int) -> int:
-        """PSB + TSC + TIP(current position): a decoder re-anchor point."""
-        cost = self._flush_tnt()
-        psb = encode_psb()
-        self.ring.write(psb)
-        self.stats.sync_packets += 1
-        self.stats.sync_bytes += len(psb)
-        cost += len(psb) * self.config.per_byte_cost_ns
+        """PSB + TSC + FUP(current position): a decoder re-anchor point,
+        written (after any pending TNT bits) in one go."""
+        tnt = self._take_tnt()
+        sync = encode_psb() + _REGION_SIDE.pack(TAG_TSC, time, TAG_FUP, self._next_uid)
+        self.ring.write(tnt + sync)
+        stats = self.stats
+        stats.sync_packets += 1  # the PSB; its TSC and FUP count as sync bytes
+        stats.sync_bytes += len(sync)
         self._bytes_since_psb = 0
-        tsc = encode_tsc(time)
-        self.ring.write(tsc)
-        self.stats.sync_bytes += len(tsc)
-        cost += len(tsc) * self.config.per_byte_cost_ns
-        self._last_period = time // self.config.mtc_period_ns
+        self._last_period = time // self._period
         self._note_timing(time, blind=True)
-        fup = encode_fup(self._next_uid)
-        self.ring.write(fup)
-        self.stats.sync_bytes += len(fup)
-        cost += len(fup) * self.config.per_byte_cost_ns
         self._ret_depth = 0  # return compression resets at PSB (real PT)
-        return cost
+        return (len(tnt) + len(sync)) * self.config.per_byte_cost_ns

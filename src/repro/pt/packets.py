@@ -73,6 +73,14 @@ _TNT_BITS: tuple[tuple[tuple[bool, ...], ...], ...] = tuple(
     for count in range(TNT_MAX_BITS + 1)
 )
 
+# ... and its inverse: every TNT packet by its flag tuple, so flushing
+# the pending bits of a branch-heavy stretch is one lookup
+_TNT_PACKETS: dict[tuple[bool, ...], bytes] = {
+    bits: bytes([TAG_TNT_BASE + count, payload])
+    for count in range(1, TNT_MAX_BITS + 1)
+    for payload, bits in enumerate(_TNT_BITS[count][: 1 << count])
+}
+
 
 @dataclass(frozen=True)
 class Packet:
@@ -126,6 +134,9 @@ class PsbPacket(Packet):
 
 
 def encode_tnt(bits: list[bool]) -> bytes:
+    packet = _TNT_PACKETS.get(tuple(bits))
+    if packet is not None:
+        return packet
     if not 1 <= len(bits) <= TNT_MAX_BITS:
         raise ValueError(f"TNT packet carries 1..{TNT_MAX_BITS} bits, got {len(bits)}")
     payload = 0

@@ -30,13 +30,17 @@ class RingBuffer:
         if len(buf) >= 2 * self.capacity:
             del buf[: -self.capacity]
 
-    def write_tail(self, tail: bytes, total: int) -> None:
-        """Account a ``total``-byte write of which only ``tail``, its
-        last ``min(total, capacity)`` bytes, is materialized: every
-        earlier byte would be overwritten before it could be read."""
+    def write_tail(
+        self, tail: bytes, total: int, before: bytes = b"", after: bytes = b""
+    ) -> None:
+        """Write ``before``, then a ``total``-byte run of which only
+        ``tail``, its last ``min(total, capacity)`` bytes, is
+        materialized, then ``after``, as one append: every earlier byte
+        of the run, and ``before`` too when the run fills the ring,
+        would be overwritten before it could be read."""
         if len(tail) != min(total, self.capacity):
             raise ValueError("tail must hold every byte that survives the write")
-        self.write(tail)
+        self.write(before + tail + after)
         self.total_written += total - len(tail)
 
     @property

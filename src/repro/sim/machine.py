@@ -22,17 +22,20 @@ Extension points:
 * ``breakpoints`` — uid-keyed callbacks, used by the runtime client to
   snapshot traces at a previous failure location (step 8 in Figure 2).
 
-Execution is one loop per scheduling quantum (``Machine._run``) over
-pre-decoded instructions: the first time a block runs, each instruction
-is compiled into a closure specialised on its operands, and the block's
-code is kept on the module for every later machine (see "pre-decoded
-code" below).
+Execution is one loop of scheduling rounds (``Machine._loop``), each
+running its quantum inline over pre-decoded instructions: the first
+time a block runs, each instruction is compiled into a closure
+specialised on its operands, and the block's code is kept on the module
+for every later machine (see "pre-decoded code" below).  Sleeping
+threads are kept in a heap by wake time, so a round neither scans the
+threads for expired delays nor rebuilds more than its runnable list.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.errors import SimulationError, StepLimitExceeded
@@ -136,6 +139,7 @@ CRASHED = "crashed"
 # states whose waits participate in the wait-for graph (known owners);
 # cond/sema/barrier waits have no owner and can only hang
 _DEADLOCKABLE_STATES = (BLOCKED_LOCK, BLOCKED_RW)
+_ENDED_STATES = (DONE, CRASHED)
 
 
 @dataclass
@@ -153,7 +157,7 @@ class SimThread:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (DONE, CRASHED)
+        return self.state not in _ENDED_STATES
 
     @property
     def frame(self) -> Frame:
@@ -183,6 +187,10 @@ class Machine:
         self.clock = VirtualClock()
         self.memory = Memory()
         self.threads: dict[int, SimThread] = {}
+        # every SLEEPING thread, as a heap of (wake_time, tid, thread):
+        # a delay pushes its thread, _wake_sleepers pops the expired
+        # ones, and the earliest wake time is always at [0]
+        self._sleeping: list[tuple[int, int, SimThread]] = []
         self.locks: "LockTableShim" = LockTableShim()
         self.breakpoints: dict[int, Callable[["Machine", SimThread, Instruction], None]] = {}
         self._global_addr: dict[str, int] = {}
@@ -191,12 +199,7 @@ class Machine:
         self._outcome: str | None = None
         self._steps = 0
         self.stats: dict[int, ThreadStats] = {}
-        # instruction class -> cost in ns of one execution; checked here
-        # because the interpreter adds costs to the clock unchecked
-        self._costs = {cls: self.costs.cost(cls.opcode) for cls in _COMPILERS}
-        negative = sorted(c.opcode for c, ns in self._costs.items() if ns < 0)
-        if negative:
-            raise ValueError(f"negative instruction cost for {', '.join(negative)}")
+        self._costs = _price_table(self.costs)
         self._init_globals()
 
     # -- setup ------------------------------------------------------------
@@ -266,63 +269,157 @@ class Machine:
     # -- main loop --------------------------------------------------------------
 
     def _loop(self) -> None:
-        # a directing scheduler (repro.validate) may veto runnable
-        # threads each round; plain schedulers have no such hook and
-        # take the exact legacy path
-        gate = getattr(self.scheduler, "filter_runnable", None)
-        while self._outcome is None:
-            alive = [t for t in self.threads.values() if t.alive]
-            if not alive:
-                return  # clean exit
-            runnable = [t.tid for t in alive if t.state == RUNNABLE]
-            if not runnable:
-                sleepers = [t for t in alive if t.state == SLEEPING]
-                if sleepers:
-                    self.clock.advance_to(min(t.wake_time for t in sleepers))
-                    self._wake_sleepers()
-                    continue
-                self._report_stall(alive)
-                return
-            self._wake_sleepers()
-            if gate is not None:
-                allowed = gate(self, runnable)
-                if not allowed:
-                    # ``runnable`` predates the wake above: a thread it
-                    # just woke (perhaps the one the gate waits for) gets
-                    # the next round before anyone is force-released
-                    if len(runnable) < sum(t.state == RUNNABLE for t in alive):
-                        continue
-                    sleepers = [t for t in alive if t.state == SLEEPING]
-                    if sleepers:
-                        # every runnable thread is held at a gate; let
-                        # time pass so the thread the gate waits for
-                        # can wake and make progress
-                        self.clock.advance_to(
-                            min(t.wake_time for t in sleepers)
-                        )
+        """Scheduling rounds until the run has an outcome or no thread
+        is alive; each round runs one quantum inline.
+
+        A round takes the runnable tids (in tid order), then wakes every
+        sleeper whose delay has expired: a thread woken here joins the
+        next round, not this one.  With nothing runnable, the clock
+        jumps to the earliest wake time; with nothing runnable or
+        asleep, the run stalls.  The scheduler picks a thread and a
+        quantum, and the quantum runs instruction by instruction.  Per
+        instruction, in order: stop once the run has an outcome or the
+        thread is no longer runnable; stop at a scheduler barrier (never
+        before the quantum's first instruction); enforce the step limit;
+        fetch the instruction (raising past the end of its block); fire
+        its breakpoint; call the instrumentation; reject a class with no
+        handler; charge its cost and count it; execute it, turning a
+        guest fault into a crash.
+
+        A directing scheduler (repro.validate) adds three per-round
+        hooks: ``filter_runnable`` may veto runnable threads,
+        ``barrier_uids`` truncates the quantum at gated uids, and
+        ``force_release`` picks one instruction's worth of progress when
+        the gate holds every thread and nothing sleeps.  Plain
+        schedulers have none of them.
+        """
+        threads = self.threads
+        sleeping = self._sleeping
+        scheduler = self.scheduler
+        pick = scheduler.pick
+        gate = getattr(scheduler, "filter_runnable", None)
+        all_stats = self.stats
+        breakpoints = self.breakpoints
+        instrumentation = self.instrumentation
+        clock = self.clock
+        costs = self._costs
+        code = self.module.code
+        global_addr = self._global_addr
+        max_steps = self.max_steps
+        steps = self._steps
+        try:
+            while self._outcome is None:
+                runnable = [
+                    tid for tid, t in threads.items() if t.state == RUNNABLE
+                ]
+                if not runnable:
+                    if sleeping:
+                        clock.advance_to(sleeping[0][0])
                         self._wake_sleepers()
                         continue
-                    # held threads, no sleepers: the directive cannot be
-                    # satisfied — execute one instruction of the
-                    # scheduler's choice instead of stalling forever
-                    tid = self.scheduler.force_release(self, runnable)
-                    self._run(self.threads[tid], 1, None)
-                    continue
-                runnable = allowed
-            tid, quantum = self.scheduler.pick(runnable)
-            # a directing scheduler also truncates quanta at gated uids:
-            # the round-level veto alone would let a long quantum blow
-            # straight through a gate reached mid-quantum
-            barriers = (
-                self.scheduler.barrier_uids(self) if gate is not None else None
-            )
-            self._run(self.threads[tid], quantum, barriers)
+                    alive = [
+                        t for t in threads.values() if t.state not in _ENDED_STATES
+                    ]
+                    if alive:
+                        self._report_stall(alive)
+                    return  # a stall, or a clean exit
+                woke = bool(sleeping) and sleeping[0][0] <= clock.now
+                if woke:
+                    self._wake_sleepers()
+                barriers = None
+                if gate is None:
+                    tid, quantum = pick(runnable)
+                else:
+                    allowed = gate(self, runnable)
+                    if allowed:
+                        tid, quantum = pick(allowed)
+                        # the round-level veto alone would let a long
+                        # quantum blow straight through a gate reached
+                        # mid-quantum
+                        barriers = scheduler.barrier_uids(self)
+                    elif woke:
+                        # a thread woken this round (perhaps the one the
+                        # gate waits for) gets the next round before
+                        # anyone is force-released
+                        continue
+                    elif sleeping:
+                        # every runnable thread is held at a gate; let
+                        # time pass so the thread the gate waits for can
+                        # wake and make progress
+                        clock.advance_to(sleeping[0][0])
+                        self._wake_sleepers()
+                        continue
+                    else:
+                        # held threads, no sleepers: the directive cannot
+                        # be satisfied — run one instruction of the
+                        # scheduler's choice instead of stalling forever
+                        tid, quantum = scheduler.force_release(self, runnable), 1
+                thread = threads[tid]
+                frames = thread.frames
+                stats = all_stats[tid]
+                # ``frame`` is refetched, with its block's code, after
+                # control moves; only then can the thread have blocked,
+                # slept, exited or crashed, or the run have ended (a hook
+                # that does so wraps its instruction to move control)
+                frame = None
+                for ran in range(quantum):
+                    if frame is None:
+                        if self._outcome is not None or thread.state != RUNNABLE:
+                            break
+                        if barriers and ran and self.thread_position(thread) in barriers:
+                            break
+                    elif barriers and self.thread_position(thread) in barriers:
+                        break
+                    steps += 1
+                    if steps > max_steps:
+                        raise StepLimitExceeded(
+                            f"exceeded {max_steps} steps at t={clock.now}ns"
+                        )
+                    if frame is None:
+                        frame = frames[-1]
+                        ops = code.get(frame.block)
+                        if ops is None:
+                            ops = code[frame.block] = _compile_block(
+                                frame.block, global_addr
+                            )
+                    try:
+                        uid, instr, cls, run = ops[frame.index]
+                    except IndexError:
+                        raise SimulationError(
+                            f"fell off block {frame.block.label()}"
+                        ) from None
+                    if breakpoints:
+                        hit = breakpoints.get(uid)
+                        if hit is not None:
+                            hit(self, thread, instr)
+                            if self._outcome is not None or thread.state != RUNNABLE:
+                                run = _then_recheck(run)
+                    if instrumentation is not None:
+                        extra = instrumentation.before_instruction(self, tid, instr)
+                        if extra:
+                            clock.advance(extra)
+                        if self._outcome is not None or thread.state != RUNNABLE:
+                            run = _then_recheck(run)
+                    if run is None:
+                        raise SimulationError(f"cannot execute {instr.opcode}")
+                    clock.now += costs[cls]
+                    stats.instructions += 1
+                    try:
+                        if run(self, thread, frame, stats):
+                            frame.index += 1
+                            continue
+                    except GuestFault as fault:
+                        self._crash(thread, instr, fault)
+                    frame = None
+        finally:
+            self._steps = steps
 
     def _wake_sleepers(self) -> None:
+        """Make every sleeper whose delay has expired runnable."""
         now = self.clock.now
-        for t in self.threads.values():
-            if t.state == SLEEPING and t.wake_time <= now:
-                t.state = RUNNABLE
+        sleeping = self._sleeping
+        while sleeping and sleeping[0][0] <= now:
+            heappop(sleeping)[2].state = RUNNABLE
 
     def _report_stall(self, alive: list[SimThread]) -> None:
         """All alive threads blocked and nothing will wake them."""
@@ -377,20 +474,20 @@ class Machine:
     def _push_frame(
         self, thread: SimThread, fn: Function, args: list[Any], call_site: Call | None
     ) -> None:
-        frame = Frame(fn, fn.entry, 0, call_site=call_site)
-        if len(args) != len(fn.params):
+        params = fn.params
+        if len(args) != len(params):
             raise SimulationError(
-                f"calling {fn.name} with {len(args)} args, expected {len(fn.params)}"
+                f"calling {fn.name} with {len(args)} args, expected {len(params)}"
             )
-        for param, arg in zip(fn.params, args):
-            frame.values[param] = arg
-        for alloca in fn.allocas():
-            size = alloca.allocated_type.size()
-            obj = self.memory.allocate(
-                size, "stack", alloca.uid, alloca.allocated_type, label=alloca.name
-            )
-            frame.allocas[alloca] = obj
-            frame.values[alloca] = obj.base
+        frame = Frame(fn, fn.entry, 0, dict(zip(params, args)), {}, call_site)
+        allocas = fn.allocas()
+        if allocas:
+            memory, values, slots = self.memory, frame.values, frame.allocas
+            for alloca in allocas:
+                ty = alloca.allocated_type
+                obj = memory.allocate(ty.size(), "stack", alloca.uid, ty, label=alloca.name)
+                slots[alloca] = obj
+                values[alloca] = obj.base
         thread.frames.append(frame)
 
     def _pop_frame(self, thread: SimThread) -> Frame:
@@ -398,77 +495,6 @@ class Machine:
         for obj in frame.allocas.values():
             self.memory.release_stack(obj)
         return frame
-
-    # -- the interpreter loop ------------------------------------------------
-
-    def _run(
-        self, thread: SimThread, quantum: int, barriers: set[int] | None
-    ) -> None:
-        """Execute up to ``quantum`` instructions of ``thread``.
-
-        Per instruction, in order: stop once the run has an outcome or
-        the thread is no longer runnable; stop at a scheduler barrier
-        (never before the first instruction); enforce the step limit;
-        fetch the instruction (raising past the end of its block); fire
-        its breakpoint; call the instrumentation; reject a class with no
-        handler; charge its cost and count it; execute it, turning a
-        guest fault into a crash.
-        """
-        frames = thread.frames
-        stats = self.stats[thread.tid]
-        breakpoints = self.breakpoints
-        instrumentation = self.instrumentation
-        clock = self.clock
-        costs = self._costs
-        code = self.module.code
-        max_steps = self.max_steps
-        steps = self._steps
-        frame = None  # refetched, with its block's code, after control moves
-        try:
-            for ran in range(quantum):
-                if self._outcome is not None or thread.state != RUNNABLE:
-                    return
-                if ran and barriers and self.thread_position(thread) in barriers:
-                    return
-                steps += 1
-                if steps > max_steps:
-                    raise StepLimitExceeded(
-                        f"exceeded {max_steps} steps at t={clock.now}ns"
-                    )
-                if frame is None:
-                    frame = frames[-1]
-                    ops = code.get(frame.block)
-                    if ops is None:
-                        ops = code[frame.block] = _compile_block(
-                            frame.block, self._global_addr
-                        )
-                try:
-                    uid, instr, cls, run = ops[frame.index]
-                except IndexError:
-                    raise SimulationError(
-                        f"fell off block {frame.block.label()}"
-                    ) from None
-                if breakpoints:
-                    hit = breakpoints.get(uid)
-                    if hit is not None:
-                        hit(self, thread, instr)
-                if instrumentation is not None:
-                    extra = instrumentation.before_instruction(self, thread.tid, instr)
-                    if extra:
-                        clock.advance(extra)
-                if run is None:
-                    raise SimulationError(f"cannot execute {instr.opcode}")
-                clock.now += costs[cls]
-                stats.instructions += 1
-                try:
-                    if run(self, thread, frame, stats):
-                        frame.index += 1
-                        continue
-                except GuestFault as fault:
-                    self._crash(thread, instr, fault)
-                frame = None
-        finally:
-            self._steps = steps
 
     # -- instruction handlers ----------------------------------------------
     #
@@ -540,6 +566,7 @@ class Machine:
     # -- control transfers ----------------------------------------------------
 
     def _do_call(self, thread: SimThread, frame: Frame, instr: Call, stats) -> bool:
+        # indirect calls; most direct ones run _compile_call's code
         callee = self._resolve_callee(frame, instr.callee)
         args = [self._value(frame, a) for a in instr.args]
         trace = thread.trace
@@ -554,8 +581,9 @@ class Machine:
         self._push_frame(thread, callee, args, call_site=instr)
         return False
 
-    def _do_ret(self, thread: SimThread, frame: Frame, instr: Ret, stats) -> bool:
-        value = self._value(frame, instr.value) if instr.value is not None else None
+    def _return(self, thread: SimThread, value: Any) -> bool:
+        """Pop ``thread``'s frame, handing ``value`` to its caller (or
+        ending the thread when it returns from its root)."""
         self._pop_frame(thread)
         if not thread.frames:
             thread.state = DONE
@@ -927,6 +955,23 @@ def _compile_block(block: BasicBlock, global_addr: dict[str, int]) -> tuple:
     return tuple(ops)
 
 
+def _then_recheck(run: Callable[..., bool] | None) -> Callable[..., bool] | None:
+    """``run`` as the last instruction of its quantum: it executes and
+    falls through as usual, but reports that control moved, so the loop
+    rechecks the thread (and the run's outcome) before fetching again.
+    Used when a breakpoint or the instrumentation ended the run or
+    switched the thread out just before the instruction."""
+    if run is None:
+        return None
+
+    def last(m, thread, frame, stats):
+        if run(m, thread, frame, stats):
+            frame.index += 1
+        return False
+
+    return last
+
+
 def _run_nothing(m, thread, frame, stats) -> bool:
     return True
 
@@ -1108,10 +1153,52 @@ def _compile_delay(instr: Delay, global_addr) -> Callable[..., bool]:
         trace = thread.trace
         if trace is not None:
             extra = trace.work(uid, resume_uid, start, duration, m.driver.live_threads)
-        thread.wake_time = start + duration + extra
+        thread.wake_time = wake = start + duration + extra
         thread.state = SLEEPING
+        heappush(m._sleeping, (wake, thread.tid, thread))
         frame.index += 1
         return False
+
+    return run
+
+
+def _compile_call(instr: Call, global_addr) -> Callable[..., bool]:
+    # a callee with no body raises when the call executes, not here
+    if not instr.is_direct or not instr.callee.function.blocks:
+        return _calls(Machine._do_call)(instr, global_addr)
+    callee = instr.callee.function
+    entry_uid = callee.entry.instructions[0].uid
+    args = tuple(_operand(a, global_addr) for a in instr.args)
+
+    def run(m, thread, frame, stats):
+        values = frame.values
+        try:
+            actuals = [values[a] if local else a for a, local in args]
+        except KeyError as missing:
+            raise _undefined(missing.args[0], frame) from None
+        trace = thread.trace
+        if trace is not None:
+            clock = m.clock
+            extra = trace.call(entry_uid, clock.now)
+            if extra:
+                clock.advance(extra)
+        m._push_frame(thread, callee, actuals, instr)
+        return False
+
+    return run
+
+
+def _compile_ret(instr: Ret, global_addr) -> Callable[..., bool]:
+    if instr.value is None:
+        return lambda m, thread, frame, stats: m._return(thread, None)
+    value, value_local = _operand(instr.value, global_addr)
+
+    def run(m, thread, frame, stats):
+        try:
+            result = frame.values[value] if value_local else value
+        except KeyError:
+            raise _undefined(value, frame) from None
+        return m._return(thread, result)
 
     return run
 
@@ -1189,8 +1276,8 @@ _COMPILERS: dict[type, Callable[..., Callable[..., bool]]] = {
     Cast: _calls(Machine._do_cast),
     Br: _compile_br,
     CondBr: _compile_cond_br,
-    Ret: _calls(Machine._do_ret),
-    Call: _calls(Machine._do_call),
+    Ret: _compile_ret,
+    Call: _compile_call,
     LockInit: _calls(Machine._do_sync_init),
     CondInit: _calls(Machine._do_sync_init),
     RwInit: _calls(Machine._do_sync_init),
@@ -1211,6 +1298,30 @@ _COMPILERS: dict[type, Callable[..., Callable[..., bool]]] = {
     Delay: _compile_delay,
     Assert: _calls(Machine._do_assert),
 }
+
+
+# cost-model values -> its price table (see _price_table)
+_PRICE_TABLES: dict[tuple, dict[type, int]] = {}
+
+
+def _price_table(model: CostModel) -> dict[type, int]:
+    """Instruction class -> cost in ns of one execution under ``model``,
+    checked non-negative because the interpreter adds costs to the clock
+    unchecked.  Machines whose models hold equal values share one
+    table, so a run does not price every class again."""
+    key = tuple(
+        tuple(v.items()) if isinstance(v, dict) else v for v in vars(model).values()
+    )
+    table = _PRICE_TABLES.get(key)
+    if table is None:
+        table = {cls: model.cost(cls.opcode) for cls in _COMPILERS}
+        negative = sorted(c.opcode for c, ns in table.items() if ns < 0)
+        if negative:
+            raise ValueError(f"negative instruction cost for {', '.join(negative)}")
+        if len(_PRICE_TABLES) >= 64:
+            _PRICE_TABLES.clear()  # a bound for callers that vary the model
+        _PRICE_TABLES[key] = table
+    return table
 
 
 class LockTableShim:

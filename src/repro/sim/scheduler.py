@@ -13,6 +13,22 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from typing import Callable
+
+
+def _geometric(draw: Callable[[], float], mean: int) -> int:
+    """A geometric count with mean ``mean``, at least 1 and capped at
+    ``16 * mean``: one more for each ``draw()`` above ``1 / mean``.
+    Consumes one draw per increment plus the one that stops the count
+    (none past the cap), so every policy's RNG stream is fixed by it."""
+    p = 1.0 / mean
+    cap = 16 * mean
+    count = 1
+    while draw() > p:
+        count += 1
+        if count >= cap:
+            break
+    return count
 
 
 class Scheduler:
@@ -66,16 +82,10 @@ class RandomScheduler(Scheduler):
     def pick(self, runnable: list[int]) -> tuple[int, int]:
         if not runnable:
             raise ValueError("pick() with no runnable threads")
-        tid = self._rng.choice(sorted(runnable))
-        # geometric quantum with mean mean_quantum, at least 1
-        quantum = 1
-        p = 1.0 / self.mean_quantum
-        while self._rng.random() > p:
-            quantum += 1
-            if quantum >= 16 * self.mean_quantum:
-                break
+        rng = self._rng
+        tid = rng.choice(sorted(runnable))
         self._last = tid
-        return tid, quantum
+        return tid, _geometric(rng.random, self.mean_quantum)
 
 
 class HierarchicalScheduler(Scheduler):
@@ -128,25 +138,6 @@ class HierarchicalScheduler(Scheduler):
     def _vcpu_of(self, tid: int) -> int:
         return tid % self.vcpus
 
-    def _draw_slice(self) -> int:
-        # geometric number of picks, mean slice_picks, at least 1
-        picks = 1
-        p = 1.0 / self.slice_picks
-        while self._rng.random() > p:
-            picks += 1
-            if picks >= 16 * self.slice_picks:
-                break
-        return picks
-
-    def _draw_quantum(self) -> int:
-        quantum = 1
-        p = 1.0 / self.mean_quantum
-        while self._rng.random() > p:
-            quantum += 1
-            if quantum >= 16 * self.mean_quantum:
-                break
-        return quantum
-
     def pick(self, runnable: list[int]) -> tuple[int, int]:
         if not runnable:
             raise ValueError("pick() with no runnable threads")
@@ -166,12 +157,12 @@ class HierarchicalScheduler(Scheduler):
             if current is not None and current not in queue and left > 0:
                 pass  # inherited: keep `left`
             else:
-                left = self._draw_slice()
+                left = _geometric(self._rng.random, self.slice_picks)
             tid = queue[(bisect.bisect_right(queue, current if current is not None else -1)) % len(queue)]
         self._running[vcpu] = tid
         self._slice_left[vcpu] = left - 1
         self._last = tid
-        return tid, self._draw_quantum()
+        return tid, _geometric(self._rng.random, self.mean_quantum)
 
 
 class FixedOrderScheduler(Scheduler):
