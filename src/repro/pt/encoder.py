@@ -36,9 +36,9 @@ from repro.pt.packets import (
 from repro.pt.ringbuffer import RingBuffer
 from repro.pt.timing import TraceConfig
 
-# A delay region's sides, each packed in one go: FUP(position) + TSC at
-# entry, TIP(resume) + TSC at exit (see ThreadEncoder.work).  FUP, TIP
-# and TSC are all 9 bytes long.
+# Two 9-byte packets (tag + u64 each) packed in one go: a delay region's
+# FUP + TSC entry and TIP + TSC exit (see ThreadEncoder.work), and a
+# sync point's TSC + FUP.  FUP, TIP and TSC are all 9 bytes long.
 _REGION_SIDE = struct.Struct("<BQBQ")
 _PACKET_BYTES = _REGION_SIDE.size // 2
 
@@ -109,7 +109,7 @@ class ThreadEncoder:
         return self._emit_sync(time)
 
     # The hot hooks return at once when time is still in the last timed
-    # MTC period (no timing owed) and inline the PSB check.
+    # MTC period: no timing is owed, and _catch_up_timing would return 0.
 
     def cond_branch(self, taken: bool, target_uid: int, time: int) -> int:
         if time // self._period == self._last_period:
@@ -133,7 +133,9 @@ class ThreadEncoder:
         self.stats.tips += 1
         self._ret_depth += 1
         self._next_uid = target_uid
-        return cost + self._maybe_psb(time)
+        if self._bytes_since_psb >= self._psb_interval:
+            cost += self._emit_sync(time)
+        return cost
 
     def call(self, callee_uid: int, time: int) -> int:
         # Direct call: statically decodable, no control packet; it only
@@ -196,9 +198,8 @@ class ThreadEncoder:
         modeled overhead (Figure 9 grows with ``live_threads``).
 
         Pending TNT bits, the sandwich and its MTC run reach the ring in
-        one write, and
-        the statistics and timing-gap reference are updated
-        arithmetically: a ring's observable state is its newest
+        one write, and the statistics and timing-gap reference are
+        updated arithmetically: a ring's observable state is its newest
         ``capacity`` bytes plus ``total_written``, which one
         concatenated write leaves exactly as the packet-by-packet
         writes would.
@@ -388,11 +389,6 @@ class ThreadEncoder:
             cost += self._emit_mtc_run(self._last_period + 1, gap)
         self._last_period = cur
         return cost
-
-    def _maybe_psb(self, time: int) -> int:
-        if self._bytes_since_psb < self.config.psb_interval_bytes:
-            return 0
-        return self._emit_sync(time)
 
     def _emit_sync(self, time: int) -> int:
         """PSB + TSC + FUP(current position): a decoder re-anchor point,
