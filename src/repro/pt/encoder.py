@@ -372,8 +372,7 @@ class ThreadEncoder:
 
     def _catch_up_timing(self, time: int) -> int:
         """Emit the timing packets owed for virtual time reaching ``time``."""
-        period = self.config.mtc_period_ns
-        cur = time // period
+        cur = time // self._period
         if self._last_period is None:
             self._last_period = cur
             self._note_timing(time, blind=True)
