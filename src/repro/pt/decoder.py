@@ -7,6 +7,13 @@ direct calls and unconditional branches are reconstructed statically;
 conditional branches consume TNT bits; indirect calls and uncompressed
 returns consume TIPs; MTC/TSC packets advance the time bound.
 
+The packets are :func:`~repro.pt.packets.lex`'s flat tuples
+``(kind, offset, value, count)``, an MTC run being one tuple, and the
+walker dispatches on their int kind: no packet object is built on the
+decode path.  One timing step (``_Walker._tick``) applies every MTC run
+and TSC, and one look-ahead (``_Walker._peek_control``) finds the next
+control packet for the return and blocking-op decisions.
+
 The output is a :class:`ThreadTrace` of run records: each straight-line
 run the walk took, with the ``[t_lo, t_hi)`` interval every instruction
 of the run shares — the *partial order* of §4.1: two dynamic
@@ -43,15 +50,15 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.values import FunctionRef
 from repro.pt.packets import (
-    FupPacket,
-    MtcRunPacket,
-    Packet,
-    PsbPacket,
-    TipPacket,
-    TntPacket,
-    TscPacket,
+    K_FUP,
+    K_MTC,
+    K_PSB,
+    K_TIP,
+    K_TNT,
+    K_TSC,
+    KIND_NAMES,
     find_psb,
-    parse_runs,
+    lex,
 )
 
 _MAX_DECODED = 10_000_000
@@ -242,17 +249,15 @@ def decode_thread_trace(
         trace.desync = True
         return trace
     trace.truncated = sync > 0
-    packets = list(parse_runs(data, sync))
+    packets = lex(data, sync)
     if not packets:
         trace.desync = True
         return trace
     # The snapshot suffix is TSC + FUP(stop): strip it as the stop marker.
-    if isinstance(packets[-1], FupPacket) and len(packets) >= 2 and isinstance(
-        packets[-2], TscPacket
-    ):
-        trace.stop_uid = packets[-1].uid
-        trace.end_time = packets[-2].time
-        packets = packets[:-2]
+    if len(packets) >= 2 and packets[-1][0] == K_FUP and packets[-2][0] == K_TSC:
+        trace.stop_uid = packets[-1][2]
+        trace.end_time = packets[-2][2]
+        del packets[-2:]
     walker = _Walker(module, packets, trace, mtc_period_ns)
     walker.run()
     if trace.end_time:
@@ -264,11 +269,20 @@ class _Truncated(Exception):
     """Internal: the packet stream ended while dynamic info was needed."""
 
 
+def _desync(wanted: str, pkt: tuple) -> TraceDecodeError:
+    return TraceDecodeError(
+        f"desync: wanted {wanted}, got {KIND_NAMES[pkt[0]]} at offset {pkt[1]}"
+    )
+
+
 class _Walker:
+    """Walks the module's CFG along :func:`lex`'s packet tuples
+    ``(kind, offset, value, count)``, dispatching on the int ``kind``."""
+
     def __init__(
         self,
         module: Module,
-        packets: list[Packet],
+        packets: list[tuple],
         trace: ThreadTrace,
         mtc_period_ns: int,
     ):
@@ -286,17 +300,19 @@ class _Walker:
         # decoded before it (they executed before that control event);
         # the next timing packet *closes* sealed records (the control
         # event, and hence they, happened before that tick).
-        # One record per straight-line run: [uids, t_lo, t_hi].  No
-        # packet is consumed inside straight-line code, so every
-        # instruction of a run shares both bounds.
+        # One record per straight-line run: (uids, t_lo).  No packet is
+        # consumed inside straight-line code, so every instruction of a
+        # run shares both bounds.  A close is one (end, t_hi) entry: the
+        # records from the previous close's end up to ``end`` get t_hi.
         self._first_open = 0  # first record not yet closed
         self._first_unsealed = 0  # first record not yet sealed
-        self._records: list[list] = []
+        self._records: list[tuple[tuple[int, ...], int]] = []
+        self._closes: list[tuple[int, int]] = []
 
     # -- packet stream ----------------------------------------------------
 
-    def _pull(self) -> Packet | None:
-        """Consume the next packet, handling timing and PSB resync.
+    def _pull(self) -> tuple | None:
+        """Consume the next control packet, handling timing and PSBs.
 
         Instructions decoded so far executed before the control packet
         returned here, hence before any timing packet that preceded it in
@@ -305,66 +321,94 @@ class _Walker:
         packets between two control packets never bound the straight-line
         instructions between them (no control event separates them).
         """
-        while self.idx < len(self.packets):
-            pkt = self.packets[self.idx]
+        packets = self.packets
+        while self.idx < len(packets):
+            pkt = packets[self.idx]
             self.idx += 1
-            if isinstance(pkt, MtcRunPacket):
-                self._on_mtc(pkt)
-                continue
-            if isinstance(pkt, TscPacket):
-                self._on_time(pkt.time, exact=True)
-                continue
-            if isinstance(pkt, PsbPacket):
+            kind = pkt[0]
+            if kind <= K_TSC:
+                self._tick(pkt)
+            elif kind == K_PSB:
                 # A cadence PSB while the walk is in sync: decode straight
                 # through it.  Its TSC updates timing, its FUP anchor is
                 # redundant (we know the position), but the encoder reset
                 # its return-compression state here, so returns of frames
-                # pushed before this point will arrive as TIPs: remember
-                # the compression floor.
+                # pushed before this point will arrive as TIPs (see the
+                # return case of _walk).
                 self._skip_psb_header()
-                continue
-            self._seal()
-            return pkt
+            else:
+                self._first_unsealed = len(self._records)  # seal
+                return pkt
         return None
+
+    def _peek_control(self) -> tuple | None:
+        """The next control packet, consuming nothing.
+
+        Timing packets are skipped, and so is each PSB together with its
+        anchor FUP: a cadence sync point, not a region marker.  Nothing
+        is processed, so an uncontended lock/join (which emits nothing)
+        leaves the stream untouched.
+        """
+        packets = self.packets
+        skip_fup = False
+        for i in range(self.idx, len(packets)):
+            pkt = packets[i]
+            kind = pkt[0]
+            if kind <= K_TSC:
+                continue
+            if kind == K_PSB:
+                skip_fup = True
+            elif skip_fup and kind == K_FUP:
+                skip_fup = False
+            else:
+                return pkt
+        return None
+
+    def _tick(self, pkt: tuple) -> None:
+        """The one timing step: apply an MTC run or a TSC."""
+        if pkt[0] == K_MTC:
+            self._on_mtc(pkt)
+        else:
+            self._on_time(pkt[2], exact=True)
 
     def _skip_psb_header(self) -> None:
         """Consume the TSC + FUP that follow a mid-stream PSB."""
-        while self.idx < len(self.packets):
-            pkt = self.packets[self.idx]
-            if isinstance(pkt, MtcRunPacket):
-                self._on_mtc(pkt)
-            elif isinstance(pkt, TscPacket):
-                self._on_time(pkt.time, exact=True)
-            elif isinstance(pkt, FupPacket):
+        packets = self.packets
+        while self.idx < len(packets):
+            kind = packets[self.idx][0]
+            if kind <= K_TSC:
+                self._tick(packets[self.idx])
+            elif kind == K_FUP:
                 self.idx += 1
                 return
             else:
                 return
             self.idx += 1
 
-    def _seal(self) -> None:
-        self._first_unsealed = len(self._records)
-
     def _close_sealed(self, time: int) -> None:
-        for rec in self._records[self._first_open : self._first_unsealed]:
-            rec[2] = max(time, rec[1])
-        self._first_open = self._first_unsealed
+        # t_lo never decreases and a closing time is never below it, so
+        # ``time`` bounds every sealed record from above, and successive
+        # closes never decrease.
+        if self._first_open < self._first_unsealed:
+            self._closes.append((self._first_unsealed, time))
+            self._first_open = self._first_unsealed
 
-    def _on_mtc(self, pkt: MtcRunPacket) -> None:
+    def _on_mtc(self, pkt: tuple) -> None:
         # Counter is the low 8 bits of (time // period).  The period is
         # not in the stream; we infer absolute time by tracking the
         # period index implied by the last TSC/MTC.  A run's first tick
         # may jump any distance (1..256 periods); each later one steps by
         # exactly one, so the run is ticks first .. first + count - 1.
-        self.trace.timing_packets += pkt.count
+        _kind, _offset, counter, count = pkt
+        self.trace.timing_packets += count
         if self.last_period is None:
             # MTC before any TSC: unusable for absolute time; skip.
             return
-        delta = (pkt.counter - (self.last_period & 0xFF)) & 0xFF
+        delta = (counter - (self.last_period & 0xFF)) & 0xFF
         if delta == 0:
             delta = 256
         first = self.last_period + delta
-        self.last_period = first + pkt.count - 1
+        self.last_period = first + count - 1
         period = self.period_guess
         if not period:
             return
@@ -392,21 +436,23 @@ class _Walker:
         """PSB: read the TSC + FUP anchor that follows and reset state."""
         self.stack = []
         self.bits.clear()
+        packets = self.packets
         time: int | None = None
         anchor: int | None = None
-        while self.idx < len(self.packets) and (time is None or anchor is None):
-            pkt = self.packets[self.idx]
+        while self.idx < len(packets) and (time is None or anchor is None):
+            pkt = packets[self.idx]
             self.idx += 1
-            if isinstance(pkt, TscPacket) and time is None:
-                time = pkt.time
-                self._on_time(time, exact=True)
-            elif isinstance(pkt, FupPacket) and anchor is None:
-                anchor = pkt.uid
-            elif isinstance(pkt, MtcRunPacket):
-                self._on_mtc(pkt)
+            kind = pkt[0]
+            if kind == K_TSC and time is None:
+                time = pkt[2]
+                self._tick(pkt)
+            elif kind == K_FUP and anchor is None:
+                anchor = pkt[2]
+            elif kind == K_MTC:
+                self._tick(pkt)
             else:
                 raise TraceDecodeError(
-                    f"malformed PSB header: unexpected {pkt.kind} packet"
+                    f"malformed PSB header: unexpected {KIND_NAMES[kind]} packet"
                 )
         if anchor is None:
             raise _Truncated
@@ -417,13 +463,10 @@ class _Walker:
             pkt = self._pull()
             if pkt is None:
                 raise _Truncated
-            if isinstance(pkt, TntPacket):
-                self.bits.extend(pkt.bits)
-                self.trace.control_events += len(pkt.bits)
-            elif isinstance(pkt, (TipPacket, FupPacket)):
-                raise TraceDecodeError(
-                    f"desync: wanted TNT, got {pkt.kind} at offset {pkt.offset}"
-                )
+            if pkt[0] != K_TNT:  # a TIP or FUP
+                raise _desync("TNT", pkt)
+            self.bits.extend(pkt[2])
+            self.trace.control_events += pkt[3]
         return self.bits.popleft()
 
     def _next_tip(self) -> int:
@@ -432,12 +475,10 @@ class _Walker:
         pkt = self._pull()
         if pkt is None:
             raise _Truncated
-        if not isinstance(pkt, TipPacket):
-            raise TraceDecodeError(
-                f"desync: wanted TIP, got {pkt.kind} at offset {pkt.offset}"
-            )
+        if pkt[0] != K_TIP:
+            raise _desync("TIP", pkt)
         self.trace.control_events += 1
-        return pkt.uid
+        return pkt[2]
 
     # -- walking ------------------------------------------------------------
 
@@ -455,8 +496,7 @@ class _Walker:
 
     def _resync_at_start(self) -> None:
         # The stream begins with PSB (guaranteed by find_psb); consume it.
-        pkt = self.packets[self.idx]
-        if not isinstance(pkt, PsbPacket):
+        if self.packets[self.idx][0] != K_PSB:
             raise TraceDecodeError("decode must start at a PSB")
         self.idx += 1
         self._resync()
@@ -478,6 +518,7 @@ class _Walker:
         records = self._records
         executed = self.trace.executed_uids
         stack = self.stack
+        bits = self.bits
         stop = self.trace.stop_uid  # 0 is no uid, so never in a run
         budget = _MAX_DECODED
         pos = self.pos
@@ -492,15 +533,16 @@ class _Walker:
             if stop in uids:
                 split = uids.index(stop)
                 if split:
-                    records.append([uids[:split], self.t_lo, -1])
+                    records.append((uids[:split], self.t_lo))
                     executed.update(uids[:split])
                 if self._at_stop():
                     return
                 uids = uids[split:]
-            records.append([uids, self.t_lo, -1])
+            records.append((uids, self.t_lo))
             executed.update(uids)
             if kind == _COND:
-                pos = succ[0] if self._next_bit() else succ[1]
+                taken = bits.popleft() if bits else self._next_bit()
+                pos = succ[0] if taken else succ[1]
             elif kind == _BR:
                 pos = succ[0]
             elif kind == _CALL:
@@ -510,11 +552,18 @@ class _Walker:
                 stack.append(resume)
                 pos = callee
             elif kind == _RET:
-                if stack and self._ret_compressed():
-                    if not self._next_bit():  # compressed return: a taken bit
+                if not stack:
+                    pos = self._next_tip() or None
+                elif bits or self._next_is(K_TNT):
+                    # TNT-compressed by the encoder: its bit is queued or
+                    # sits in the next TNT packet, and must be taken.  The
+                    # test synchronizes itself: the encoder's compression
+                    # state resets at PSBs, which the walk may pass late,
+                    # and an uncompressed return is announced by a TIP.
+                    if not (bits.popleft() if bits else self._next_bit()):
                         raise TraceDecodeError("desync: compressed return bit is 0")
                     pos = stack.pop()
-                elif stack:
+                else:
                     # the call predates the encoder's last compression reset
                     # (a PSB): its return arrives as an uncompressed TIP that
                     # must agree with our tracked resume position
@@ -525,117 +574,68 @@ class _Walker:
                             f"desync: return TIP {tip} != stacked resume {expected}"
                         )
                     pos = tip
-                else:
-                    pos = self._next_tip() or None
-            elif kind == _DELAY or self._peek_region(instr.uid):
+            elif kind == _DELAY or self._next_is(K_FUP, instr.uid):
                 # A work region, or a blocking op that blocked (a context
                 # switch): FUP(uid) ... MTC ticks ... TIP(resume).
                 pos = self._consume_region(instr.uid)
             else:  # a blocking op that did not block
                 pos = succ[0]
 
+    def _next_is(self, kind: int, value=None) -> bool:
+        """Is the next control packet of this ``kind`` (and ``value``)?"""
+        pkt = self._peek_control()
+        return pkt is not None and pkt[0] == kind and (value is None or pkt[2] == value)
+
     def _at_stop(self) -> bool:
         """At the stop uid: has the walk reached the snapshot's end?"""
         # A run of pure timing packets may trail the last control event
         # (MTCs emitted while the thread slept); drain them so the stop
         # test below sees whether any *control* information remains.
-        while self.idx < len(self.packets):
-            pkt = self.packets[self.idx]
-            if isinstance(pkt, MtcRunPacket):
-                self._on_mtc(pkt)
-            elif isinstance(pkt, TscPacket):
-                self._on_time(pkt.time, exact=True)
-            else:
-                break
+        packets = self.packets
+        while self.idx < len(packets) and packets[self.idx][0] <= K_TSC:
+            self._tick(packets[self.idx])
             self.idx += 1
         # Only stop when no dynamic information remains: a loop can
         # revisit the stop position with packets still queued.
-        return self.idx >= len(self.packets) and not self.bits
-
-    def _ret_compressed(self) -> bool:
-        """Was this return TNT-compressed by the encoder?
-
-        Self-synchronizing test (the encoder's compression state resets
-        at PSBs, which the walker may process at a slight lag): a
-        compressed return's bit is already queued or sits in the next
-        TNT packet; an uncompressed return is announced by a TIP.
-        """
-        if self.bits:
-            return True
-        i = self.idx
-        skip_fup = False
-        while i < len(self.packets):
-            pkt = self.packets[i]
-            if isinstance(pkt, (MtcRunPacket, TscPacket)):
-                i += 1
-                continue
-            if isinstance(pkt, PsbPacket):
-                skip_fup = True
-                i += 1
-                continue
-            if skip_fup and isinstance(pkt, FupPacket):
-                skip_fup = False
-                i += 1
-                continue
-            return isinstance(pkt, TntPacket)
-        return False
-
-    def _peek_region(self, uid: int) -> bool:
-        """Is the next control packet a FUP marking this instruction?
-
-        Peeks without processing timing packets, so an uncontended
-        lock/join (which emits nothing) leaves the stream untouched.
-        """
-        i = self.idx
-        skip_fup = False
-        while i < len(self.packets):
-            pkt = self.packets[i]
-            if isinstance(pkt, (MtcRunPacket, TscPacket)):
-                i += 1
-                continue
-            if isinstance(pkt, PsbPacket):
-                # cadence sync point: its anchor FUP is not a region marker
-                skip_fup = True
-                i += 1
-                continue
-            if skip_fup and isinstance(pkt, FupPacket):
-                skip_fup = False
-                i += 1
-                continue
-            return isinstance(pkt, FupPacket) and pkt.uid == uid
-        return False
+        return self.idx >= len(packets) and not self.bits
 
     def _consume_region(self, uid: int) -> int:
         """Consume FUP(uid) ... TIP(resume); return the resume uid."""
         pkt = self._pull()
         if pkt is None:
             raise _Truncated
-        if not isinstance(pkt, FupPacket) or pkt.uid != uid:
+        if pkt[0] != K_FUP or pkt[2] != uid:
             raise TraceDecodeError(
-                f"desync: wanted region FUP({uid}), got {pkt.kind} at {pkt.offset}"
+                f"desync: wanted region FUP({uid}), got {KIND_NAMES[pkt[0]]} at {pkt[1]}"
             )
         tip = self._pull()
         if tip is None:
             raise _Truncated  # blocked forever (e.g. a deadlocked lock)
-        if not isinstance(tip, TipPacket):
+        if tip[0] != K_TIP:
             raise TraceDecodeError(
-                f"desync: wanted region TIP, got {tip.kind} at {tip.offset}"
+                f"desync: wanted region TIP, got {KIND_NAMES[tip[0]]} at {tip[1]}"
             )
         self.trace.control_events += 1
-        return tip.uid
+        return tip[2]
 
     def _finish(self) -> None:
         """Resolve each run record's final bounds and number its uids."""
         trace = self.trace
-        end = trace.end_time or self.t_lo
+        records = self._records
         runs = trace.runs
         seq = 0
+        start = 0
         latest = 0
-        for uids, t_lo, t_hi in self._records:
-            if t_hi == -1:
-                t_hi = end
-            if t_hi < t_lo:
-                t_hi = t_lo
+        for close_end, t_hi in self._closes:
+            for uids, t_lo in records[start:close_end]:
+                runs.append((uids, t_lo, t_hi, seq))
+                seq += len(uids)
+            start = close_end
+            latest = t_hi
+        # records no timing packet closed end with the snapshot
+        end = trace.end_time or self.t_lo
+        for uids, t_lo in records[start:]:
+            t_hi = end if end > t_lo else t_lo
             if t_hi > latest:
                 latest = t_hi
             runs.append((uids, t_lo, t_hi, seq))

@@ -28,14 +28,23 @@ Returns are TNT-compressed exactly like real PT: a return whose call
 was seen since the last PSB is encoded as a taken TNT bit; otherwise it
 gets a TIP.
 
+Lexing.  :func:`lex` turns a snapshot into one flat list of small
+tuples ``(kind, offset, value, count)`` with int kinds (``K_MTC`` ..
+``K_FUP``): no packet object is built.  It is the only parser; the
+decoder dispatches on its tuples, and :func:`parse_runs` and
+:func:`parse_packets` are thin views that build the :class:`Packet`
+dataclasses from them for tests and packet counts.
+
 MTC runs.  Between two control events the stream holds nothing but MTC
 ticks, one per period, whose counters step by +1 (mod 256): an
 arithmetic progression.  Both ends handle such a run in closed form
 without changing a byte.  :func:`encode_mtc_run` slices a run's bytes
-out of the 512-byte counter cycle, and :func:`parse_runs` coalesces a
-run into one :class:`MtcRunPacket`, finding its end by comparing
-512-byte slices of the stream against the same cycle.
-:func:`parse_packets` still yields one :class:`MtcPacket` per tick.
+out of the 512-byte counter cycle, and :func:`lex` coalesces a run into
+one ``K_MTC`` entry: it steps the first ticks one by one (most runs are
+short), then compares whole 512-byte laps in place and finds where the
+last lap breaks off with one XOR.  :func:`parse_runs` shows a run as one
+:class:`MtcRunPacket`; :func:`parse_packets` still yields one
+:class:`MtcPacket` per tick.
 """
 
 from __future__ import annotations
@@ -183,95 +192,145 @@ def find_psb(data: bytes, start: int = 0) -> int:
     return data.find(PSB_BYTES, start)
 
 
-def parse_packets(data: bytes, start: int = 0):
-    """Yield packets from ``data`` beginning at ``start``, one per packet.
+# -- lexing -------------------------------------------------------------------
+
+# Packet kinds as :func:`lex` reports them.  The timing kinds come first,
+# so "is this a timing packet?" is one comparison: ``kind <= K_TSC``.
+K_MTC, K_TSC, K_PSB, K_TNT, K_TIP, K_FUP = range(6)
+KIND_NAMES = ("mtc", "tsc", "psb", "tnt", "tip", "fup")
+
+# _MTC_LAP_FROM[c]: the 512 bytes of the 256 MTC packets counting up
+# from counter c, as bytes and as a little-endian int.  The run scan
+# tests the stream against the bytes with ``startswith`` at an offset
+# (which copies nothing) and finds where a partial lap breaks off with
+# one XOR of ints.
+_MTC_LAP_FROM: tuple[bytes, ...] = tuple(
+    _MTC_LAPS[2 * c : 2 * c + _MTC_LAP] for c in range(256)
+)
+_MTC_LAP_INTS: tuple[int, ...] = tuple(
+    int.from_bytes(lap, "little") for lap in _MTC_LAP_FROM
+)
+
+# The first ticks after a run's first are stepped packet by packet
+# before the lap scan takes over: a third of all runs are one tick.
+_SHORT_RUN = 2
+
+_u64 = struct.Struct("<Q").unpack_from
+
+# The kind of each 9-byte packet (tag + u64) by its tag, None otherwise.
+_WIDE_KINDS: tuple[int | None, ...] = tuple(
+    {TAG_TSC: K_TSC, TAG_FUP: K_FUP, TAG_TIP: K_TIP}.get(tag) for tag in range(256)
+)
+
+
+def _mtc_run_length(data: bytes, i: int) -> int:
+    """Complete packets in the +1-stepping MTC run at ``data[i]``, which
+    must hold one complete MTC packet."""
+    n = len(data)
+    j = i + 2  # the next packet of the run would start here ...
+    c = (data[i + 1] + 1) & 0xFF  # ... with this counter
+    for _ in range(_SHORT_RUN):
+        if j + 1 >= n or data[j] != TAG_MTC or data[j + 1] != c:
+            return (j - i) // 2
+        j += 2
+        c = (c + 1) & 0xFF
+    lap = _MTC_LAP_FROM[c]
+    while data.startswith(lap, j):
+        j += _MTC_LAP  # a whole lap leaves the counter where it was
+    # the rest is shorter than a lap: its first byte that differs from
+    # the cycle holds the lowest set bit of an XOR.  A tail cut short
+    # reads as zeros past its end, where the cycle's tag bytes differ
+    # (a zero counter byte may not: hence the min).
+    tail = data[j : j + _MTC_LAP]
+    diff = int.from_bytes(tail, "little") ^ _MTC_LAP_INTS[c]
+    same = min((diff & -diff).bit_length() - 1 >> 3, len(tail))
+    return (j - i + same) // 2
+
+
+def lex(data: bytes, start: int = 0) -> list[tuple]:
+    """Every packet of ``data`` from ``start`` on, as flat tuples
+    ``(kind, offset, value, count)``.
+
+    ``kind`` is one of ``K_MTC`` .. ``K_FUP``.  ``value`` is the TNT flag
+    tuple (oldest first), the TIP/FUP uid, the TSC time or the first
+    MTC counter (0 for a PSB).  ``count`` is the number of TNT flags or
+    MTC packets (1 otherwise): each maximal run of MTCs whose counters
+    step by +1 (mod 256) is one entry.
 
     ``start`` must point at a packet boundary (normally a PSB found via
-    :func:`find_psb`).  Raises :class:`TraceDecodeError` on unknown tags;
-    a truncated trailing packet ends iteration silently (the ring was
-    snapshotted mid-write, which is legal).
+    :func:`find_psb`).  Raises :class:`TraceDecodeError` on an unknown
+    tag or a corrupt PSB.  A truncated trailing packet ends the list
+    silently (the ring was snapshotted mid-write, which is legal); a
+    short tail counts as a truncated PSB only if it is a prefix of
+    ``PSB_BYTES``.
     """
+    out: list[tuple] = []
+    append = out.append
+    wide_kinds = _WIDE_KINDS
+    tnt_bits = _TNT_BITS
+    n = len(data)
+    i = start
+    while i < n:
+        tag = data[i]
+        kind = wide_kinds[tag]
+        if kind is not None:
+            if i + 9 > n:
+                break
+            append((kind, i, _u64(data, i + 1)[0], 1))
+            i += 9
+        elif TAG_TNT_BASE < tag <= TAG_TNT_BASE + TNT_MAX_BITS:
+            if i + 1 >= n:
+                break
+            count = tag - TAG_TNT_BASE
+            append((K_TNT, i, tnt_bits[count][data[i + 1]], count))
+            i += 2
+        elif tag == TAG_MTC:
+            if i + 1 >= n:
+                break
+            count = _mtc_run_length(data, i)
+            append((K_MTC, i, data[i + 1], count))
+            i += 2 * count
+        elif tag == TAG_PAD:
+            i += 1
+        elif tag == PSB_BYTES[0]:
+            if data.startswith(PSB_BYTES, i):
+                append((K_PSB, i, 0, 1))
+                i += len(PSB_BYTES)
+            elif n - i < len(PSB_BYTES) and PSB_BYTES.startswith(data[i:]):
+                break  # truncated trailing PSB
+            else:
+                raise TraceDecodeError(f"corrupt PSB at offset {i}")
+        else:
+            raise TraceDecodeError(f"unknown packet tag 0x{tag:02x} at offset {i}")
+    return out
+
+
+# -- packet-object views (tests and packet counts; the decoder reads lex) --
+
+
+def parse_runs(data: bytes, start: int = 0):
+    """Yield :func:`lex`'s packets as :class:`Packet` objects: each run
+    of MTCs whose counters step by +1 is one :class:`MtcRunPacket`."""
+    for kind, offset, value, count in lex(data, start):
+        if kind == K_MTC:
+            yield MtcRunPacket("mtc", offset, value, count)
+        elif kind == K_TNT:
+            yield TntPacket("tnt", offset, value)
+        elif kind == K_TSC:
+            yield TscPacket("tsc", offset, value)
+        elif kind == K_TIP:
+            yield TipPacket("tip", offset, value)
+        elif kind == K_FUP:
+            yield FupPacket("fup", offset, value)
+        else:
+            yield PsbPacket("psb", offset)
+
+
+def parse_packets(data: bytes, start: int = 0):
+    """Like :func:`parse_runs`, but one :class:`MtcPacket` per tick."""
     for pkt in parse_runs(data, start):
         if isinstance(pkt, MtcRunPacket):
             for k in range(pkt.count):
                 yield MtcPacket("mtc", pkt.offset + 2 * k, (pkt.counter + k) & 0xFF)
         else:
             yield pkt
-
-
-def _mtc_run_length(data: bytes, i: int) -> int:
-    """Complete packets in the +1-stepping MTC run at ``data[i]``, which
-    must hold one complete MTC packet."""
-    c = 2 * data[i + 1]
-    lap = _MTC_LAPS[c : c + _MTC_LAP]
-    j = i
-    while data[j : j + _MTC_LAP] == lap:
-        j += _MTC_LAP
-    # the next lap breaks off: gallop, then bisect, for the packets
-    # data[j:] shares with the cycle (lo match, hi do not)
-    lo, hi = 0, 1
-    while hi < 256 and data[j : j + 2 * hi] == lap[: 2 * hi]:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if data[j : j + 2 * mid] == lap[: 2 * mid]:
-            lo = mid
-        else:
-            hi = mid
-    return (j - i) // 2 + lo
-
-
-def parse_runs(data: bytes, start: int = 0):
-    """Like :func:`parse_packets`, but each run of MTCs whose counters
-    step by +1 comes out as one :class:`MtcRunPacket`."""
-    i = start
-    n = len(data)
-    while i < n:
-        tag = data[i]
-        if tag == TAG_PAD:
-            i += 1
-            continue
-        if tag == PSB_BYTES[0]:
-            if data[i : i + len(PSB_BYTES)] == PSB_BYTES:
-                yield PsbPacket("psb", i)
-                i += len(PSB_BYTES)
-                continue
-            if i + len(PSB_BYTES) > n:
-                return  # truncated trailing PSB
-            raise TraceDecodeError(f"corrupt PSB at offset {i}")
-        if TAG_TNT_BASE < tag <= TAG_TNT_BASE + TNT_MAX_BITS:
-            count = tag - TAG_TNT_BASE
-            if i + 1 >= n:
-                return
-            yield TntPacket("tnt", i, _TNT_BITS[count][data[i + 1]])
-            i += 2
-            continue
-        if tag == TAG_MTC:
-            if i + 1 >= n:
-                return
-            count = _mtc_run_length(data, i)
-            yield MtcRunPacket("mtc", i, data[i + 1], count)
-            i += 2 * count
-            continue
-        if tag == TAG_TIP:
-            if i + 9 > n:
-                return
-            (uid,) = struct.unpack_from("<Q", data, i + 1)
-            yield TipPacket("tip", i, uid)
-            i += 9
-            continue
-        if tag == TAG_TSC:
-            if i + 9 > n:
-                return
-            (time,) = struct.unpack_from("<Q", data, i + 1)
-            yield TscPacket("tsc", i, time)
-            i += 9
-            continue
-        if tag == TAG_FUP:
-            if i + 9 > n:
-                return
-            (uid,) = struct.unpack_from("<Q", data, i + 1)
-            yield FupPacket("fup", i, uid)
-            i += 9
-            continue
-        raise TraceDecodeError(f"unknown packet tag 0x{tag:02x} at offset {i}")

@@ -1,11 +1,11 @@
 """Closed-form MTC runs against a one-tick-at-a-time oracle.
 
 The encoder writes a run of n MTC ticks as one ring-tail write, the
-parser coalesces +1-stepping MTCs into one ``MtcRunPacket``, and the
+lexer coalesces +1-stepping MTCs into one ``K_MTC`` tuple, and the
 decoder applies a whole run in one step.  Each must agree exactly with
 handling the same ticks one packet at a time: the ring's snapshot and
-byte count, the parser's per-packet view, and every field of the
-decoded ``ThreadTrace``.
+byte count, a byte-at-a-time reference parse (and the ``Packet`` views
+built from the lexer), and every field of the decoded ``ThreadTrace``.
 """
 
 from unittest import mock
@@ -13,9 +13,14 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from repro.ir import parse_module
+from repro.errors import TraceDecodeError
 from repro.pt import decoder
 from repro.pt.decoder import TimingSummary, decode_thread_trace
 from repro.pt.packets import (
+    K_MTC,
+    K_TNT,
+    KIND_NAMES,
+    PSB_BYTES,
     MtcPacket,
     MtcRunPacket,
     encode_fup,
@@ -25,6 +30,7 @@ from repro.pt.packets import (
     encode_tip,
     encode_tnt,
     encode_tsc,
+    lex,
     parse_packets,
     parse_runs,
 )
@@ -35,11 +41,12 @@ class _PerTickWalker(decoder._Walker):
     """The oracle: the decoder's MTC rule applied one tick at a time."""
 
     def _on_mtc(self, pkt):
-        for k in range(pkt.count):
+        _kind, _offset, counter, count = pkt  # one lexer tuple: a whole run
+        for k in range(count):
             self.trace.timing_packets += 1
             if self.last_period is None:
                 continue  # MTC before any TSC: unusable for absolute time
-            delta = (pkt.counter + k - (self.last_period & 0xFF)) & 0xFF or 256
+            delta = (counter + k - (self.last_period & 0xFF)) & 0xFF or 256
             self.last_period += delta
             if self.period_guess:
                 self._on_time(self.last_period * self.period_guess, exact=False)
@@ -220,6 +227,118 @@ def test_decoder_runs_match_the_per_tick_oracle(data, period):
         oracle = _outcome(data, period)
     assert closed == oracle
     assert not isinstance(closed, str) and not closed.desync
+
+
+# -- lexer --------------------------------------------------------------------
+
+
+def _reference(data):
+    """The packets of ``data`` as ``(kind, offset, value)``, one per MTC
+    tick, parsed a byte at a time independently of the lexer."""
+    wide = {0x60: "tip", 0x70: "tsc", 0x78: "fup"}
+    out, i, n = [], 0, len(data)
+    while i < n:
+        tag = data[i]
+        if tag == 0x00:
+            i += 1
+        elif tag == 0x82:
+            if data[i : i + 16] == PSB_BYTES:
+                out.append(("psb", i, 0))
+                i += 16
+            elif n - i < 16 and PSB_BYTES[: n - i] == data[i:]:
+                break  # truncated trailing PSB
+            else:
+                raise TraceDecodeError(f"corrupt PSB at offset {i}")
+        elif 0x41 <= tag <= 0x46 or tag == 0x50:
+            if i + 1 >= n:
+                break
+            if tag == 0x50:
+                out.append(("mtc", i, data[i + 1]))
+            else:
+                bits = tuple(bool(data[i + 1] >> b & 1) for b in range(tag - 0x40))
+                out.append(("tnt", i, bits))
+            i += 2
+        elif tag in wide:
+            if i + 9 > n:
+                break
+            out.append((wide[tag], i, int.from_bytes(data[i + 1 : i + 9], "little")))
+            i += 9
+        else:
+            raise TraceDecodeError(f"unknown packet tag 0x{tag:02x} at offset {i}")
+    return out
+
+
+def _expanded_lex(data):
+    out = []
+    for kind, offset, value, count in lex(data):
+        if kind == K_MTC:
+            out += [("mtc", offset + 2 * k, (value + k) & 0xFF) for k in range(count)]
+        else:
+            assert count == (len(value) if kind == K_TNT else 1)
+            out.append((KIND_NAMES[kind], offset, value))
+    return out
+
+
+def _packet_view(data):
+    values = {"tnt": "bits", "tip": "uid", "fup": "uid", "tsc": "time", "mtc": "counter"}
+    return [
+        (p.kind, p.offset, getattr(p, values[p.kind]) if p.kind in values else 0)
+        for p in parse_packets(data)
+    ]
+
+
+def _assert_same_parse(data):
+    """The lexer, the packet view and the reference give the same
+    packets, or raise the same exception type with the same message."""
+    outcomes = []
+    for parse in (_expanded_lex, _packet_view, _reference):
+        try:
+            outcomes.append(parse(data))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lexer_matches_the_reference_on_walkable_and_timing_streams(data):
+    state = {"counter": data.draw(st.integers(0, 255))}
+    stream = data.draw(st.one_of(_loop_streams(), _timing(state)))
+    _assert_same_parse(stream)
+    for cut in data.draw(st.lists(st.integers(0, len(stream)), max_size=8)):
+        _assert_same_parse(stream[:cut])
+
+
+@given(st.binary(max_size=300))
+def test_lexer_matches_the_reference_on_random_bytes(data):
+    _assert_same_parse(data)
+
+
+_small_chunks = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=6).map(encode_tnt),
+    st.integers(0, 2**40).map(encode_tip),
+    st.integers(0, 2**40).map(encode_tsc),
+    st.integers(0, 2**40).map(encode_fup),
+    st.tuples(st.integers(0, 255), st.integers(1, 12)).map(
+        lambda run: encode_mtc_run(*run)
+    ),
+    st.just(encode_psb()),
+    st.just(b"\x00"),
+    # a PSB cut short or with one corrupt byte, and random bytes
+    st.tuples(st.integers(1, 15), st.binary(max_size=1)).map(
+        lambda cut: PSB_BYTES[: cut[0]] + cut[1]
+    ),
+    st.binary(min_size=1, max_size=2),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_small_chunks, max_size=12))
+@example([encode_tsc(5), b"\x82\x05"])
+def test_lexer_matches_the_reference_when_cut_at_every_offset(chunks):
+    stream = b"".join(chunks)
+    for cut in range(len(stream) + 1):
+        _assert_same_parse(stream[:cut])
 
 
 @given(

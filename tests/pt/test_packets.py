@@ -78,6 +78,23 @@ def test_corrupt_psb_raises():
         list(parse_packets(stream))
 
 
+def test_corrupt_trailing_psb_raises_like_mid_stream():
+    # two bytes that are no prefix of a PSB are corrupt in mid-stream ...
+    with pytest.raises(TraceDecodeError, match="^corrupt PSB at offset 9$"):
+        list(parse_packets(encode_tsc(5) + b"\x82\x05" + encode_tsc(6)))
+    # ... and at the end of the stream too
+    with pytest.raises(TraceDecodeError, match="^corrupt PSB at offset 9$"):
+        list(parse_packets(encode_tsc(5) + b"\x82\x05"))
+    with pytest.raises(TraceDecodeError, match="^corrupt PSB at offset 9$"):
+        list(parse_packets(encode_tsc(5) + PSB_BYTES[:7] + b"\x00"))
+
+
+def test_truncated_trailing_psb_ends_iteration():
+    for cut in range(1, len(PSB_BYTES)):
+        pkts = list(parse_packets(encode_tsc(5) + PSB_BYTES[:cut]))
+        assert [p.kind for p in pkts] == ["tsc"]
+
+
 _packet_strategy = st.one_of(
     st.lists(st.booleans(), min_size=1, max_size=6).map(encode_tnt),
     st.integers(0, 2**40).map(encode_tip),
