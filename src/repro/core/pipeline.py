@@ -76,7 +76,39 @@ class TraceSample:
     snapshot_time: int = 0
 
 
+@dataclass
+class _KeptWork:
+    """What a :class:`LazyDiagnosis` keeps between diagnoses of one
+    failure.  Samples are keyed by identity (each entry holds its
+    sample, so an id is never reused while kept).  The ranking, anchor
+    points-to sets and per-sample patterns belong to ``executed``: they
+    are functions of the executed scope, through the points-to result."""
+
+    failure: FailureReport
+    operands: list[Value]
+    anchors: list[tuple[int, str, Value]]
+    traces: dict[int, tuple[TraceSample, ProcessedTrace]] = field(
+        default_factory=dict
+    )
+    executed: set[int] | None = None
+    analysis: object = None
+    ranking: RankingResult | None = None
+    anchor_info: dict[int, tuple[str, frozenset]] = field(default_factory=dict)
+    patterns: dict[int, PatternComputation] = field(default_factory=dict)
+
+
 class LazyDiagnosis:
+    """Steps 2-7 over one failure's evidence.
+
+    The instance keeps work across :meth:`diagnose` calls on growing
+    evidence of the same failure (the step-8 stop rule's evaluations):
+    each sample's processed trace, and — while the executed scope, hence
+    the points-to result, is unchanged — the ranking and each sample's
+    pattern computation.  A call for another failure starts afresh.
+    Samples must not change once diagnosed.  The report equals a fresh
+    instance's.
+    """
+
     def __init__(
         self,
         module: Module,
@@ -90,17 +122,22 @@ class LazyDiagnosis:
         self.analysis_cache = analysis_cache  # AnalysisCache | None
         self.trace_cache = trace_cache  # DecodedTraceCache | None
         self.obs = obs  # Observability | None
+        self._kept: _KeptWork | None = None
         self.last_root_span = None  # Span | None (when tracing is on)
         # per-diagnose() observability: cache hit/miss counts and wall
         # time per pipeline stage, consumed by the fleet metrics.
         self.last_cache_events: dict[str, int] = {}
         self.last_stage_seconds: dict[str, float] = {}
+        # wall time of each sample this diagnose() processed for the
+        # first time (decode plus trace processing), in sample order
+        self.last_new_trace_seconds: list[float] = []
 
     # -- public API -----------------------------------------------------
 
     def diagnose(
         self, failing: list[TraceSample], successes: list[TraceSample]
     ) -> DiagnosisReport:
+        self.last_new_trace_seconds = []
         if not failing:
             raise DiagnosisError("at least one failing trace is required")
         report_failure = failing[0].failure
@@ -152,17 +189,24 @@ class LazyDiagnosis:
             stages[name] = _time.perf_counter() - stage_start
             obs.registry.observe(f"stage_{name}", stages[name])
 
-        # operand recovery happens once per diagnosis — every sample's
+        # operand recovery happens once per failure — every sample's
         # trace processing reuses the same anchors.
-        operands, anchors = self._recover_operands(report_failure)
-        # steps 2+3: trace processing per execution
+        kept = self._kept_for(report_failure)
+        operands, anchors = kept.operands, kept.anchors
+        # steps 2+3: trace processing per execution, once per sample
+        new_seconds = self.last_new_trace_seconds
         with tracer.span(
             "trace_processing", samples=len(failing) + len(successes)
         ) as span:
-            traces = [
-                self._process(s, report_failure, anchors, tracer)
-                for s in failing + successes
-            ]
+            traces = []
+            for sample in failing + successes:
+                entry = kept.traces.get(id(sample))
+                if entry is None:
+                    sample_start = _time.perf_counter()
+                    trace = self._process(sample, report_failure, anchors, tracer)
+                    new_seconds.append(_time.perf_counter() - sample_start)
+                    entry = kept.traces[id(sample)] = (sample, trace)
+                traces.append(entry[1])
             span.set(anchors=len(anchors))
         close_stage("trace_processing", started)
         executed: set[int] = set()
@@ -174,6 +218,8 @@ class LazyDiagnosis:
             for entry in report_failure.cycle:
                 executed.add(entry.instr_uid)
         scope = executed if cfg.scope_restriction else None
+        # the kept scope-dependent work stands while the scope does
+        same_scope = kept.executed == executed
         # step 4: hybrid points-to over the (restricted) scope
         stage_start = _time.perf_counter()
         with tracer.span(
@@ -182,38 +228,45 @@ class LazyDiagnosis:
             algorithm=cfg.algorithm,
             executed_instructions=len(executed),
         ) as span:
-            analysis = PointsToAnalysis(
-                self.module, scope, cfg.algorithm,
-                cache=self.analysis_cache, obs=obs,
-            ).run()
+            if same_scope:
+                analysis = kept.analysis
+            else:
+                analysis = PointsToAnalysis(
+                    self.module, scope, cfg.algorithm,
+                    cache=self.analysis_cache, obs=obs,
+                ).run()
             span.set(constraints=analysis.stats.constraints)
-        checkpoint(
-            "pipeline.points_to",
-            analysis=analysis,
-            module=self.module,
-            executed=executed if scope is not None else None,
-        )
-        if self.analysis_cache is not None:
-            outcome = analysis.stats.extra.get("cache")
-            if outcome == "hit":
-                self.last_cache_events["analysis_cache_hits"] += 1
-            elif outcome == "miss":
-                self.last_cache_events["analysis_cache_misses"] += 1
+        if not same_scope:
+            checkpoint(
+                "pipeline.points_to",
+                analysis=analysis,
+                module=self.module,
+                executed=executed if scope is not None else None,
+            )
+            if self.analysis_cache is not None:
+                outcome = analysis.stats.extra.get("cache")
+                if outcome == "hit":
+                    self.last_cache_events["analysis_cache_hits"] += 1
+                elif outcome == "miss":
+                    self.last_cache_events["analysis_cache_misses"] += 1
         close_stage("points_to", stage_start)
         # step 5: type-based ranking
         stage_start = _time.perf_counter()
         is_deadlock = report_failure.kind == "deadlock"
         with tracer.span("type_ranking", enabled=cfg.type_ranking) as span:
-            ranking = rank_candidates(
-                self.module,
-                analysis,
-                executed,
-                operands,
-                report_failure.failing_uid,
-                include_locks=is_deadlock,
-            )
-            if not cfg.type_ranking:
-                ranking = _flatten_ranks(ranking)
+            if same_scope:
+                ranking = kept.ranking
+            else:
+                ranking = rank_candidates(
+                    self.module,
+                    analysis,
+                    executed,
+                    operands,
+                    report_failure.failing_uid,
+                    include_locks=is_deadlock,
+                )
+                if not cfg.type_ranking:
+                    ranking = _flatten_ranks(ranking)
             span.set(
                 candidates=len(ranking.candidates),
                 rank1_candidates=len(ranking.rank1()),
@@ -224,18 +277,27 @@ class LazyDiagnosis:
         observations: list[ExecutionObservation] = []
         computations: list[PatternComputation] = []
         anchor_role = anchors[0][1] if anchors else "R"
-        anchor_info = {
-            uid: (role, analysis.points_to(operand))
-            for uid, role, operand in anchors
-        }
+        if same_scope:
+            anchor_info = kept.anchor_info
+        else:
+            anchor_info = {
+                uid: (role, analysis.points_to(operand))
+                for uid, role, operand in anchors
+            }
+        if not same_scope:
+            kept.executed, kept.analysis = executed, analysis
+            kept.ranking, kept.anchor_info = ranking, anchor_info
+            kept.patterns = {}
         with tracer.span(
             "pattern_computation", enabled=cfg.pattern_computation
         ) as span:
             if cfg.pattern_computation:
                 for sample, trace in zip(failing + successes, traces):
-                    comp = self._compute_patterns(
-                        sample, trace, ranking, anchor_info, report_failure
-                    )
+                    comp = kept.patterns.get(id(sample))
+                    if comp is None:
+                        comp = kept.patterns[id(sample)] = self._compute_patterns(
+                            sample, trace, ranking, anchor_info, report_failure
+                        )
                     computations.append(comp)
                     observations.append(
                         observe(sample.label, sample.failing, comp)
@@ -276,6 +338,13 @@ class LazyDiagnosis:
         return report
 
     # -- stages ---------------------------------------------------------------
+
+    def _kept_for(self, failure: FailureReport) -> _KeptWork:
+        """The work kept for ``failure``; a new failure starts afresh."""
+        if self._kept is None or self._kept.failure is not failure:
+            operands, anchors = self._recover_operands(failure)
+            self._kept = _KeptWork(failure, operands, anchors)
+        return self._kept
 
     def _process(
         self,

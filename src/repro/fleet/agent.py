@@ -216,7 +216,9 @@ class FleetAgent:
         production machine); the fan-out parallelism lives on the server
         side, which shards the wave across many agents.
         """
-        responses = tuple(run_trace_request(self.client, r) for r in batch.requests)
+        responses = tuple(
+            run_trace_request(self.client, r).shipped() for r in batch.requests
+        )
         self.trace_requests_served += len(responses)
         self._send(TraceBatchResponse(responses=responses), request_id)
 

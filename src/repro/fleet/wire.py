@@ -42,7 +42,8 @@ from repro.sim.failures import (
 )
 
 MAGIC = b"SX"
-VERSION = 1
+# 2: a TraceResponse carries ``captured``; a failing step-8 run ships no sample
+VERSION = 2
 _HEADER = struct.Struct("!2sBBIII")
 HEADER_SIZE = _HEADER.size
 MAX_PAYLOAD = 64 * 1024 * 1024  # sanity bound; a 64 KB ring is ~1000x smaller
@@ -413,6 +414,7 @@ def _trace_response_to_dict(msg: TraceResponse) -> dict:
         "label": msg.label,
         "outcome": msg.outcome,
         "sample": None if msg.sample is None else sample_to_dict(msg.sample),
+        "captured": msg.captured,
     }
 
 
@@ -422,6 +424,7 @@ def _trace_response_from_dict(d: dict) -> TraceResponse:
         label=d["label"],
         outcome=d["outcome"],
         sample=None if sample is None else sample_from_dict(sample),
+        captured=d["captured"],
     )
 
 

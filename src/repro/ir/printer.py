@@ -81,17 +81,12 @@ def print_function(fn: Function) -> str:
 
 
 def operand(value: Value) -> str:
-    if isinstance(value, Constant):
-        return str(value.value)
-    if isinstance(value, NullPointer):
-        return "null"
-    if isinstance(value, GlobalVariable):
-        return f"@{value.name}"
-    if isinstance(value, FunctionRef):
-        return f"@{value.function.name}"
-    if isinstance(value, (Argument, Instruction)):
-        return f"%{value.name}"
-    raise TypeError(f"cannot print operand {value!r}")
+    fmt = _OPERAND_BY_TYPE.get(type(value))
+    if fmt is None:
+        fmt = _dispatch(_OPERANDS, _OPERAND_BY_TYPE, type(value))
+        if fmt is None:
+            raise TypeError(f"cannot print operand {value!r}")
+    return fmt(value)
 
 
 def print_instruction(instr: Instruction) -> str:
@@ -102,64 +97,111 @@ def print_instruction(instr: Instruction) -> str:
 
 
 def _instruction_body(instr: Instruction) -> str:
-    if isinstance(instr, Alloca):
-        return f"%{instr.name} = alloca {instr.allocated_type}"
-    if isinstance(instr, Malloc):
-        count = f", {operand(instr.count)}" if instr.count is not None else ""
-        return f"%{instr.name} = malloc {instr.allocated_type}{count}"
-    if isinstance(instr, Free):
-        return f"free {operand(instr.pointer)}"
-    if isinstance(instr, Load):
-        return f"%{instr.name} = load {operand(instr.pointer)}"
-    if isinstance(instr, Store):
-        return f"store {operand(instr.value)}, {operand(instr.pointer)}"
-    if isinstance(instr, FieldAddr):
-        return f"%{instr.name} = fieldaddr {operand(instr.pointer)}, {instr.field_name}"
-    if isinstance(instr, IndexAddr):
-        return f"%{instr.name} = indexaddr {operand(instr.pointer)}, {operand(instr.index)}"
-    if isinstance(instr, BinOp):
-        return f"%{instr.name} = {instr.op} {operand(instr.lhs)}, {operand(instr.rhs)}"
-    if isinstance(instr, Cmp):
-        return f"%{instr.name} = cmp {instr.op} {operand(instr.lhs)}, {operand(instr.rhs)}"
-    if isinstance(instr, Cast):
-        src = instr.value
-        if isinstance(src, Constant):
-            return f"%{instr.name} = cast {src.ty} {src.value} to {instr.ty}"
-        return f"%{instr.name} = cast {operand(src)} to {instr.ty}"
-    if isinstance(instr, Br):
-        return f"br {instr.target.name}"
-    if isinstance(instr, CondBr):
-        return (
-            f"cbr {operand(instr.cond)}, "
-            f"{instr.then_block.name}, {instr.else_block.name}"
-        )
-    if isinstance(instr, Ret):
-        return f"ret {operand(instr.value)}" if instr.value is not None else "ret"
-    if isinstance(instr, Call):
-        args = ", ".join(operand(a) for a in instr.args)
-        callee = operand(instr.callee)
-        if instr.name and str(instr.ty) != "void":
-            return f"%{instr.name} = call {callee}({args})"
-        return f"call {callee}({args})"
-    if isinstance(instr, LockInit):
-        return f"lockinit {operand(instr.pointer)}"
-    if isinstance(instr, Lock):
-        return f"lock {operand(instr.pointer)}"
-    if isinstance(instr, Unlock):
-        return f"unlock {operand(instr.pointer)}"
-    if isinstance(instr, SemInit):
-        return f"seminit {operand(instr.pointer)}, {operand(instr.count)}"
-    if isinstance(instr, BarrierInit):
-        return f"barrierinit {operand(instr.pointer)}, {operand(instr.parties)}"
-    if isinstance(instr, _SyncOp):
-        return f"{instr.opcode} {operand(instr.pointer)}"
-    if isinstance(instr, Spawn):
-        args = ", ".join(operand(a) for a in instr.args)
-        return f"%{instr.name} = spawn {operand(instr.callee)}({args})"
-    if isinstance(instr, Join):
-        return f"join {operand(instr.handle)}"
-    if isinstance(instr, Delay):
-        return f"delay {operand(instr.duration)}"
-    if isinstance(instr, Assert):
-        return f'assert {operand(instr.cond)}, "{instr.message}"'
-    raise TypeError(f"cannot print instruction {instr!r}")
+    fmt = _BODY_BY_TYPE.get(type(instr))
+    if fmt is None:
+        fmt = _dispatch(_BODIES, _BODY_BY_TYPE, type(instr))
+        if fmt is None:
+            raise TypeError(f"cannot print instruction {instr!r}")
+    return fmt(instr)
+
+
+def _dispatch(chain, by_type: dict, cls: type):
+    """The printer the isinstance ``chain`` picks for ``cls``: the first
+    entry whose class ``cls`` is or derives from.  Remembered under
+    ``cls``, so every later value of that type costs one dict lookup."""
+    for base, fmt in chain:
+        if issubclass(cls, base):
+            by_type[cls] = fmt
+            return fmt
+    return None
+
+
+def _cast(instr: Cast) -> str:
+    src = instr.value
+    if isinstance(src, Constant):
+        return f"%{instr.name} = cast {src.ty} {src.value} to {instr.ty}"
+    return f"%{instr.name} = cast {operand(src)} to {instr.ty}"
+
+
+def _call(instr: Call) -> str:
+    args = ", ".join(operand(a) for a in instr.args)
+    callee = operand(instr.callee)
+    if instr.name and str(instr.ty) != "void":
+        return f"%{instr.name} = call {callee}({args})"
+    return f"call {callee}({args})"
+
+
+def _spawn(instr: Spawn) -> str:
+    args = ", ".join(operand(a) for a in instr.args)
+    return f"%{instr.name} = spawn {operand(instr.callee)}({args})"
+
+
+def _malloc(instr: Malloc) -> str:
+    count = f", {operand(instr.count)}" if instr.count is not None else ""
+    return f"%{instr.name} = malloc {instr.allocated_type}{count}"
+
+
+# Each printer keyed by the class it prints, in isinstance-chain order:
+# a class derived from one listed here prints as its first listed base
+# (every _SyncOp without an entry of its own prints by opcode).  No
+# entry follows one of its own bases, so an exact type picks itself.
+_BODIES: tuple = (
+    (Alloca, lambda i: f"%{i.name} = alloca {i.allocated_type}"),
+    (Malloc, _malloc),
+    (Free, lambda i: f"free {operand(i.pointer)}"),
+    (Load, lambda i: f"%{i.name} = load {operand(i.pointer)}"),
+    (Store, lambda i: f"store {operand(i.value)}, {operand(i.pointer)}"),
+    (
+        FieldAddr,
+        lambda i: f"%{i.name} = fieldaddr {operand(i.pointer)}, {i.field_name}",
+    ),
+    (
+        IndexAddr,
+        lambda i: f"%{i.name} = indexaddr {operand(i.pointer)}, {operand(i.index)}",
+    ),
+    (
+        BinOp,
+        lambda i: f"%{i.name} = {i.op} {operand(i.lhs)}, {operand(i.rhs)}",
+    ),
+    (
+        Cmp,
+        lambda i: f"%{i.name} = cmp {i.op} {operand(i.lhs)}, {operand(i.rhs)}",
+    ),
+    (Cast, _cast),
+    (Br, lambda i: f"br {i.target.name}"),
+    (
+        CondBr,
+        lambda i: (
+            f"cbr {operand(i.cond)}, {i.then_block.name}, {i.else_block.name}"
+        ),
+    ),
+    (
+        Ret,
+        lambda i: f"ret {operand(i.value)}" if i.value is not None else "ret",
+    ),
+    (Call, _call),
+    (LockInit, lambda i: f"lockinit {operand(i.pointer)}"),
+    (Lock, lambda i: f"lock {operand(i.pointer)}"),
+    (Unlock, lambda i: f"unlock {operand(i.pointer)}"),
+    (SemInit, lambda i: f"seminit {operand(i.pointer)}, {operand(i.count)}"),
+    (
+        BarrierInit,
+        lambda i: f"barrierinit {operand(i.pointer)}, {operand(i.parties)}",
+    ),
+    (_SyncOp, lambda i: f"{i.opcode} {operand(i.pointer)}"),
+    (Spawn, _spawn),
+    (Join, lambda i: f"join {operand(i.handle)}"),
+    (Delay, lambda i: f"delay {operand(i.duration)}"),
+    (Assert, lambda i: f'assert {operand(i.cond)}, "{i.message}"'),
+)
+_BODY_BY_TYPE: dict = dict(_BODIES)
+
+_OPERANDS: tuple = (
+    (Constant, lambda v: str(v.value)),
+    (NullPointer, lambda v: "null"),
+    (GlobalVariable, lambda v: f"@{v.name}"),
+    (FunctionRef, lambda v: f"@{v.function.name}"),
+    (Argument, lambda v: f"%{v.name}"),
+    (Instruction, lambda v: f"%{v.name}"),
+)
+_OPERAND_BY_TYPE: dict = dict(_OPERANDS)

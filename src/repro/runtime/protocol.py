@@ -31,11 +31,26 @@ class TraceRequest:
 
 @dataclass
 class TraceResponse:
-    """Client -> server: the run's outcome and (maybe) a trace sample."""
+    """Client -> server: the run's outcome and (maybe) a trace sample.
+
+    ``captured`` says the run took a snapshot: its breakpoint fired, or
+    it failed.  Step 8 consumes successful executions only (§4.1), so a
+    failing run's snapshot is not evidence; over the wire it stays on
+    the client (:meth:`shipped`), and the server reads ``captured``
+    without a sample as a failing run, not as a miss.
+    """
 
     label: str
     outcome: str
     sample: TraceSample | None = None
+    captured: bool = False
+
+    def shipped(self) -> "TraceResponse":
+        """This response as an agent sends it: without a failing run's
+        sample, which the server would only drop."""
+        if self.sample is None or not self.sample.failing:
+            return self
+        return TraceResponse(self.label, self.outcome, None, captured=True)
 
 
 @dataclass(frozen=True)

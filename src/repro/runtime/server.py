@@ -51,7 +51,8 @@ def sample_from_run(label: str, run: ClientRun) -> TraceSample:
 def run_trace_request(client: SnorlaxClient, request: TraceRequest) -> TraceResponse:
     """Execute one step-8 request on a client: run the seed with the
     breakpoint armed and answer with the snapshot it captured (none
-    when the breakpoint never fired)."""
+    when the breakpoint never fired and the run did not fail).  A fleet
+    agent sends the :meth:`~TraceResponse.shipped` form."""
     run = client.run_once(
         request.seed,
         breakpoint_uids=request.breakpoint_uids,
@@ -61,7 +62,10 @@ def run_trace_request(client: SnorlaxClient, request: TraceRequest) -> TraceResp
     if run.snapshot is not None:
         sample = sample_from_run(request.label, run)
     return TraceResponse(
-        label=request.label, outcome=run.result.outcome, sample=sample
+        label=request.label,
+        outcome=run.result.outcome,
+        sample=sample,
+        captured=sample is not None,
     )
 
 
@@ -215,12 +219,16 @@ class _CollectionState:
         return monotonic() > self.deadline
 
     def consume(self, request: TraceRequest, resp: TraceResponse) -> bool:
-        """Apply one response; True when the rest of the wave is stale."""
+        """Apply one response; True when the rest of the wave is stale.
+
+        A failing run is dropped, whether its sample came along (in
+        process) or stayed on the client (``captured`` without a
+        sample, over the wire); any other response without a sample is
+        a miss."""
         server = self.server
         self.attempts += 1
-        if resp.sample is not None and resp.sample.failing:
-            return False  # only successful executions feed step 8
-        if resp.sample is None:
+        sample = resp.sample
+        if sample is None and not resp.captured:
             # Only zero-skip misses hint that the PC is unreachable in
             # successful runs (e.g. failure in error-handling code); a
             # miss with skip > 0 just means the location executes fewer
@@ -237,11 +245,13 @@ class _CollectionState:
                 server.stats.breakpoint_fallbacks += 1
                 return True  # rest of the wave used stale breakpoints
             return False
-        resp.sample.label = f"success-{len(self.samples)}"
-        self.samples.append(resp.sample)
+        if sample is None or sample.failing:
+            return False  # only successful executions feed step 8
+        sample.label = f"success-{len(self.samples)}"
+        self.samples.append(sample)
         server.stats.success_traces += 1
         if self.on_sample is not None:
-            self.on_sample(resp.sample)
+            self.on_sample(sample)
         if self.stop_rule is not None:
             self.stop_rule.observe(self.samples)
         return self.satisfied
@@ -289,35 +299,50 @@ class _TopPatternEvaluator:
     """The stop rule's oracle: the current top-ranked pattern signature
     for the evidence gathered so far.
 
-    Runs the full pipeline *quietly* (``obs=None`` — no spans, no
-    counters; the fleet's registry sees only the one final diagnosis)
-    against the server's shared caches, so each evaluation re-decodes
-    nothing and — with incremental Andersen seeding — re-solves almost
-    nothing.  A pure function of the sample prefix: same samples, same
-    answer, on any transport.
+    Keeps one *quiet* pipeline (``obs=None`` — no spans, no counters;
+    the fleet's registry sees only the one final diagnosis) for the
+    whole collection, reusing work across evaluations: each sample is
+    decoded — through the server's shared trace cache — and processed
+    once, by the first evaluation that reads it, and the ranking and
+    each sample's patterns stand while the executed scope does.  No
+    decode pool runs beside a stop rule, so with caches on each sample's
+    first reading is observed as ``stage_decode`` in the pool's place:
+    one value per sample, covering its decode and trace processing.  A
+    pure function of the sample prefix: same samples, same answer, on
+    any transport.  :meth:`close` drops the pipeline when collection
+    ends.
     """
 
-    def __init__(self, server: "SnorlaxServer", failing_sample: TraceSample):
-        self._server = server
+    def __init__(
+        self, server: "SnorlaxServer", failing_sample: TraceSample, registry
+    ):
         self._failing = failing_sample
-
-    def __call__(self, successes: list[TraceSample]):
-        server = self._server
         caches = server.caches
-        pipeline = LazyDiagnosis(
+        self._registry = registry if caches is not None else None
+        self._pipeline: LazyDiagnosis | None = LazyDiagnosis(
             server.module,
             server.config,
             analysis_cache=caches.analysis if caches else None,
             trace_cache=caches.traces if caches else None,
             obs=None,
         )
+
+    def __call__(self, successes: list[TraceSample]):
+        pipeline = self._pipeline
         try:
             report = pipeline.diagnose([self._failing], successes)
         except DiagnosisError:
             return None
+        finally:
+            if self._registry is not None:
+                for seconds in pipeline.last_new_trace_seconds:
+                    self._registry.observe("stage_decode", seconds)
         if report.root_cause is None:
             return None
         return str(report.root_cause.signature)
+
+    def close(self) -> None:
+        self._pipeline = None
 
 
 @dataclass
@@ -480,13 +505,14 @@ class SnorlaxServer:
         derived :meth:`_batch_window`.  Two more layers, both
         evidence-invisible:
 
-        * when ``caches`` is set, every sample starts decoding the
-          moment its response is consumed (a small pool), so decode
-          finishes with collection instead of after it.
+        * when ``caches`` is set and counting is fixed, every sample
+          starts decoding the moment its response is consumed (a small
+          pool), so decode finishes with collection instead of after it.
         * ``stopping="stable-top"`` ends collection once the top-ranked
           pattern is stable (``failing_sample`` anchors the evaluation);
           the stop decision is a pure function of the consumed sample
-          prefix, hence transport-independent.
+          prefix, hence transport-independent.  Its evaluations read
+          each new sample at once, so they decode it inline, once.
         """
         return self._collect(
             send, send_batch, failing_uid, start_seed, failing_sample
@@ -509,16 +535,15 @@ class SnorlaxServer:
             mode="serial" if send_batch is None else "batched",
             stopping=policy.stopping,
         ) as cspan:
-            state = _CollectionState(
-                self, failing_uid, start_seed, self._make_stop_rule(failing_sample)
-            )
+            stop_rule = self._make_stop_rule(failing_sample, obs.registry)
+            state = _CollectionState(self, failing_uid, start_seed, stop_rule)
             window = self._batch_window
             if send_batch is None:
                 send = self._traced_transport(send, obs.tracer, cspan)
                 send_batch = lambda requests: [send(r) for r in requests]  # noqa: E731
                 window = lambda state: 1  # noqa: E731
             decoder = None
-            if self.caches is not None:
+            if self.caches is not None and stop_rule is None:
                 decoder = _StreamingDecoder(self, obs.registry)
                 state.on_sample = decoder.submit
                 if failing_sample is not None:
@@ -533,6 +558,8 @@ class SnorlaxServer:
             finally:
                 if decoder is not None:
                     decoder.close()
+                if stop_rule is not None:
+                    stop_rule.evaluate.close()
             obs.registry.observe("stage_collect", perf_counter() - started)
             cspan.set(
                 collected=len(state.samples),
@@ -558,17 +585,16 @@ class SnorlaxServer:
                 breakpoints=len(request.breakpoint_uids),
             ) as span:
                 resp = send(request)
-                if resp.sample is None:
-                    span.set(outcome="miss")
+                if resp.sample is not None:
+                    outcome = "failing" if resp.sample.failing else "ok"
                 else:
-                    span.set(
-                        outcome="failing" if resp.sample.failing else "ok"
-                    )
+                    outcome = "failing" if resp.captured else "miss"
+                span.set(outcome=outcome)
             return resp
 
         return traced
 
-    def _make_stop_rule(self, failing_sample: TraceSample | None):
+    def _make_stop_rule(self, failing_sample: TraceSample | None, registry):
         if self.policy.stopping == "fixed" or failing_sample is None:
             # the stable-top rule evaluates candidate diagnoses, which
             # need the failing evidence — without it, count fixed
@@ -576,7 +602,7 @@ class SnorlaxServer:
         from repro.core.statistics import StabilityStopRule
 
         return StabilityStopRule(
-            evaluate=_TopPatternEvaluator(self, failing_sample),
+            evaluate=_TopPatternEvaluator(self, failing_sample, registry),
             window=self.policy.stability_window,
             min_samples=self.policy.adaptive_min_traces,
         )

@@ -28,6 +28,16 @@ thread-safe (one connection, one lock) and safe to share across the
 shards of one process group; separate processes open their own store
 on the same path — WAL mode gives them concurrent readers plus a
 single writer without ``SQLITE_BUSY`` storms.
+
+The store knows which ``traces`` keys it holds: it reads them once at
+open and adds each key it writes, so a lookup of a key it does not hold
+is a counted miss that runs no query (almost every trace lookup of a
+cold diagnosis misses).  A row another process writes after this store
+opened stays a miss here, and its buffer is decoded again, which is
+always correct.  The key set takes memory and open time in proportion
+to the ``traces`` rows (about 330 bytes a row), and nothing deletes
+those rows: a re-reported failure adds none, but every new failure
+adds its buffers.
 """
 
 from __future__ import annotations
@@ -144,6 +154,12 @@ class DiagnosisStore:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._migrate()
+        with self._lock:
+            self._trace_keys = set(
+                self._conn.execute(
+                    "SELECT module_fp, tid, buffer_hash, mtc_period FROM traces"
+                ).fetchall()
+            )
         self.report_stats = CacheStats()
         self.analysis_stats = CacheStats()
         self.trace_stats = CacheStats()
@@ -304,13 +320,16 @@ class DiagnosisStore:
     def get_trace(
         self, module_fp: str, tid: int, buffer_hash: str, mtc_period: int
     ) -> bytes | None:
+        key = (module_fp, tid, buffer_hash, mtc_period)
         with self.tracer.span("store_get", tier="trace") as span:
-            with self._lock:
-                row = self._conn.execute(
-                    "SELECT payload FROM traces WHERE module_fp=? AND tid=? "
-                    "AND buffer_hash=? AND mtc_period=?",
-                    (module_fp, tid, buffer_hash, mtc_period),
-                ).fetchone()
+            row = None
+            if key in self._trace_keys:
+                with self._lock:
+                    row = self._conn.execute(
+                        "SELECT payload FROM traces WHERE module_fp=? AND "
+                        "tid=? AND buffer_hash=? AND mtc_period=?",
+                        key,
+                    ).fetchone()
             if row is None:
                 self.trace_stats.misses += 1
                 span.set(outcome="miss")
@@ -335,6 +354,7 @@ class DiagnosisStore:
                     "VALUES (?, ?, ?, ?, ?, ?)",
                     (module_fp, tid, buffer_hash, mtc_period, payload, time.time()),
                 )
+                self._trace_keys.add((module_fp, tid, buffer_hash, mtc_period))
             inserted = cursor.rowcount > 0
             if inserted:
                 self.trace_stats.writes += 1

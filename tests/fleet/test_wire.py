@@ -121,6 +121,35 @@ def test_trace_response_roundtrip_without_sample():
     assert roundtrip(resp) == resp
 
 
+def test_trace_response_roundtrip_keeps_captured():
+    ok = TraceResponse(
+        label="success-0", outcome="success",
+        sample=make_sample(failing=False, failure=None), captured=True,
+    )
+    assert roundtrip(ok) == ok
+    assert ok.shipped() is ok  # a successful sample ships whole
+    failing = TraceResponse(
+        label="speculative-1", outcome="crash", sample=make_sample(),
+        captured=True,
+    )
+    shipped = failing.shipped()
+    assert (shipped.sample, shipped.captured) == (None, True)
+    assert roundtrip(shipped) == shipped
+    miss = TraceResponse(label="speculative-2", outcome="success")
+    assert roundtrip(miss).captured is False
+
+
+def test_previous_wire_version_is_refused():
+    # a version-1 peer's TraceResponse has no ``captured`` field: a
+    # mixed-version fleet must fail at the header, not on a missing key
+    frame = bytearray(
+        encode_frame(TraceResponse(label="s", outcome="success"), 5)
+    )
+    frame[2] = 1
+    with pytest.raises(WireError, match="unsupported wire version 1"):
+        decode_frame(bytes(frame))
+
+
 def test_trace_batch_request_roundtrip():
     batch = TraceBatchRequest(
         requests=(

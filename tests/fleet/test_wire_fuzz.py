@@ -16,6 +16,7 @@ from repro.fleet.wire import (
     HEADER_SIZE,
     MAX_DEPTH,
     MAX_PAYLOAD,
+    VERSION,
     Hello,
     decode_frame,
     decode_value,
@@ -92,7 +93,7 @@ def test_every_truncation_prefix_is_rejected():
 
 
 def _header(msg_type=1, request_id=0, length=0, crc=0):
-    return struct.pack("!2sBBIII", b"SX", 1, msg_type, request_id, length, crc)
+    return struct.pack("!2sBBIII", b"SX", VERSION, msg_type, request_id, length, crc)
 
 
 def test_oversized_length_field_rejected():

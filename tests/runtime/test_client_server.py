@@ -300,3 +300,84 @@ def test_collection_identical_via_message_api(module, client):
     widened = server._widen_breakpoints(read_uid)
     assert widened[0] == read_uid
     assert len(widened) > 1  # plus predecessor block anchors
+
+
+def _run_observed(module, client, policy, send_wrapper=None, caches=True):
+    from repro.core.cache import DiagnosisCaches
+    from repro.obs import Observability
+
+    failing = client.find_runs(True, 1)[0]
+    obs = Observability()
+    server = SnorlaxServer(
+        module,
+        policy=policy,
+        caches=DiagnosisCaches() if caches else None,
+        obs=obs,
+    )
+
+    def send(req):
+        resp = server.handle_trace_request(client, req)
+        return send_wrapper(resp) if send_wrapper else resp
+
+    session = server.run_session(
+        server.sample_from_run("failure", failing),
+        failing.failure.failing_uid,
+        5_000,
+        send=send,
+    )
+    return session, obs
+
+
+def test_stop_rule_decodes_inline_and_still_observes_decode(
+    module, client, monkeypatch
+):
+    from repro.runtime import server as runtime_server
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a stop rule must not start the decode pool")
+
+    monkeypatch.setattr(runtime_server, "_StreamingDecoder", no_pool)
+    policy = CollectionPolicy(stopping="stable-top", adaptive_min_traces=3)
+    session, obs = _run_observed(module, client, policy)
+    decode = obs.registry.as_dict()["timers"]["stage_decode"]
+    # one value per sample, as the pool records: the failing sample and
+    # each collected one, timed when an evaluation first reads it
+    assert decode["count"] == 1 + len(session.successes)
+    # every sample was decoded inline, so the final diagnosis only hits
+    assert session.result.cache_events["trace_cache_misses"] == 0
+
+
+def test_stop_rule_without_caches_observes_no_decode(module, client):
+    policy = CollectionPolicy(stopping="stable-top", adaptive_min_traces=3)
+    _session, obs = _run_observed(module, client, policy, caches=False)
+    # no pool would have run, so there is no decode stage to report
+    assert "stage_decode" not in obs.registry.as_dict().get("timers", {})
+
+
+def test_fixed_stopping_keeps_the_decode_pool(module, client):
+    session, obs = _run_observed(module, client, FOUR)
+    decode = obs.registry.as_dict()["timers"]["stage_decode"]
+    # the pool decodes the failing sample and every collected one
+    assert decode["count"] == 1 + len(session.successes)
+
+
+def test_trace_request_spans_label_a_sampleless_capture_failing(module, client):
+    sent = []
+
+    def shipped(resp):
+        sent.append(resp.shipped())  # as an agent sends it
+        return sent[-1]
+
+    _session, obs = _run_observed(module, client, FOUR, shipped)
+    outcomes = [
+        s.attrs["outcome"]
+        for s in obs.tracer.finished_spans()
+        if s.name == "trace_request"
+    ]
+    # a failing run's capture arrives without its sample, yet is no miss
+    want = [
+        "ok" if r.sample is not None else "failing" if r.captured else "miss"
+        for r in sent
+    ]
+    assert outcomes == want
+    assert "failing" in outcomes and "ok" in outcomes

@@ -146,6 +146,27 @@ def test_analysis_and_trace_tiers_roundtrip():
         }
 
 
+def test_trace_misses_run_no_query_and_late_rows_stay_misses(tmp_path):
+    path = str(tmp_path / "traces.db")
+    with DiagnosisStore(path) as first:
+        first.put_trace("fp", 1, "early", 500, b"t1")
+    # ``other`` stands in for another process writing the same file
+    with DiagnosisStore(path) as db, DiagnosisStore(path) as other:
+        queries: list[str] = []
+        db._conn.set_trace_callback(queries.append)
+        assert db.get_trace("fp", 1, "early", 500) == b"t1"  # on disk at open
+        assert db.get_trace("fp", 1, "absent", 500) is None
+        assert len([q for q in queries if "FROM traces" in q]) == 1
+        other.put_trace("fp", 2, "late", 500, b"t2")
+        assert db.get_trace("fp", 2, "late", 500) is None  # written after open
+        assert (db.trace_stats.hits, db.trace_stats.misses) == (1, 2)
+        # writing the key makes it known, even though the row was there
+        assert not db.put_trace("fp", 2, "late", 500, b"t2")
+        assert db.get_trace("fp", 2, "late", 500) == b"t2"
+    with DiagnosisStore(path) as reopened:
+        assert reopened.get_trace("fp", 2, "late", 500) == b"t2"
+
+
 def test_aggregate_stats_and_absorb_vocabulary():
     with DiagnosisStore() as db:
         db.put_report("sig", "bug", DIGEST)
