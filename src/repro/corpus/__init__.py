@@ -16,6 +16,9 @@ The registry query surface is public API:
 
 from __future__ import annotations
 
+import threading
+from typing import Callable
+
 from repro.corpus.appkit import AppProfile, profile
 from repro.corpus.registry import (
     BugSpec,
@@ -47,29 +50,49 @@ ALL_TEMPLATES = {**TEMPLATES, **PRIMITIVE_TEMPLATES}
 
 
 class _TemplatedBug:
-    """Lazily instantiates a template; keeps build/workload/truth in sync."""
+    """Instantiates a template on demand; keeps build/workload/truth in sync.
+
+    A template call returns ``(module, truth, workload)``.  The first
+    call, whichever accessor makes it, keeps ``(truth, workload)``; the
+    module goes to the caller (or is dropped) and is never held here,
+    so a process holds each corpus module only where a caller keeps it
+    (the registry's :meth:`BugSpec.module` cache, a benchmark input).
+    Neither kept value references the module: the workload closure
+    captures only the shape and constants derived from it.
+    """
 
     def __init__(self, shape: BugShape, pattern: str):
         self.shape = shape
         self.pattern = pattern
-        self._built = None
+        self._kept: tuple[GroundTruth, Callable[[int], tuple]] | None = None
+        self._lock = threading.Lock()
 
-    def _ensure(self):
-        if self._built is None:
-            self._built = ALL_TEMPLATES[self.pattern](self.shape)
-        return self._built
+    def _instantiate(self):
+        module, truth, workload = ALL_TEMPLATES[self.pattern](self.shape)
+        if self._kept is None:
+            self._kept = (truth, workload)
+        return module
+
+    def _ensure(self) -> tuple[GroundTruth, Callable[[int], tuple]]:
+        if self._kept is None:
+            with self._lock:
+                if self._kept is None:
+                    self._instantiate()
+        return self._kept
 
     def build_module(self):
-        # A fresh build every call (templates are deterministic); the
-        # registry caches the shared instance itself.
-        return ALL_TEMPLATES[self.pattern](self.shape)[0]
+        # A fresh module every call (templates are deterministic, and
+        # callers such as repro.validate edit what they get); the first
+        # call also serves the workload and ground truth.
+        with self._lock:
+            return self._instantiate()
 
     @property
     def ground_truth(self) -> GroundTruth:
-        return self._ensure()[1]
+        return self._ensure()[0]
 
     def workload(self, seed: int) -> tuple:
-        return self._ensure()[2](seed)
+        return self._ensure()[1](seed)
 
 
 def make_spec(

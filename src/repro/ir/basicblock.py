@@ -18,6 +18,8 @@ class BasicBlock:
     encoder uses block uids as the "addresses" carried by TIP packets.
     """
 
+    __slots__ = ("name", "function", "instructions", "uid")
+
     def __init__(self, name: str, function: "Function | None" = None):
         self.name = name
         self.function = function

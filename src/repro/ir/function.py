@@ -21,6 +21,8 @@ class Function:
     recomputed after the module is (re)finalized.
     """
 
+    __slots__ = ("name", "type", "params", "blocks", "_block_names", "_allocas")
+
     def __init__(self, name: str, ret: Type, params: Sequence[tuple[str, Type]]):
         self.name = name
         self.type = FunctionType(ret, [ty for _, ty in params])

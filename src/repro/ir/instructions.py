@@ -73,6 +73,8 @@ class SourceLoc:
 class Instruction(Value):
     """Base class for all instructions."""
 
+    __slots__ = ("operands", "parent", "uid", "block_index", "loc")
+
     opcode: str = "<abstract>"
 
     def __init__(self, ty: Type, operands: Sequence[Value], name: str = ""):
@@ -142,6 +144,8 @@ class Alloca(Instruction):
     frame at call time regardless of where the alloca appears).
     """
 
+    __slots__ = ("allocated_type",)
+
     opcode = "alloca"
 
     def __init__(self, allocated_type: Type, name: str = ""):
@@ -151,6 +155,8 @@ class Alloca(Instruction):
 
 class Malloc(Instruction):
     """Allocate a heap object of ``allocated_type`` (times ``count``)."""
+
+    __slots__ = ("allocated_type",)
 
     opcode = "malloc"
 
@@ -167,6 +173,8 @@ class Malloc(Instruction):
 class Free(Instruction):
     """Release a heap object; subsequent access is a crash (dangling)."""
 
+    __slots__ = ()
+
     opcode = "free"
 
     def __init__(self, pointer: Value):
@@ -181,6 +189,8 @@ class Free(Instruction):
 
 class Load(Instruction):
     """Read the value at ``pointer``; result type is the pointee type."""
+
+    __slots__ = ()
 
     opcode = "load"
 
@@ -197,6 +207,8 @@ class Load(Instruction):
 
 class Store(Instruction):
     """Write ``value`` to ``pointer``."""
+
+    __slots__ = ()
 
     opcode = "store"
 
@@ -219,6 +231,8 @@ class Store(Instruction):
 
 class FieldAddr(Instruction):
     """Compute the address of a struct field (a restricted GEP)."""
+
+    __slots__ = ("struct_type", "field_name", "offset")
 
     opcode = "fieldaddr"
 
@@ -243,6 +257,8 @@ class IndexAddr(Instruction):
     ``pointer`` may point at an array (indexes into it) or at a scalar
     (plain pointer arithmetic in element units), like a one-index GEP.
     """
+
+    __slots__ = ("element_type",)
 
     opcode = "indexaddr"
 
@@ -272,6 +288,8 @@ _BINOPS = {"add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr"}
 class BinOp(Instruction):
     """Integer/float arithmetic; result has the left operand's type."""
 
+    __slots__ = ("op",)
+
     opcode = "binop"
 
     def __init__(self, op: str, lhs: Value, rhs: Value, name: str = ""):
@@ -296,6 +314,8 @@ _CMPOPS = {"eq", "ne", "lt", "le", "gt", "ge"}
 
 class Cmp(Instruction):
     """Comparison producing an i1."""
+
+    __slots__ = ("op",)
 
     opcode = "cmp"
 
@@ -324,6 +344,8 @@ class Cast(Instruction):
     object (§4.3).
     """
 
+    __slots__ = ()
+
     opcode = "cast"
 
     def __init__(self, value: Value, to_type: Type, name: str = ""):
@@ -339,6 +361,8 @@ class Cast(Instruction):
 class Br(Instruction):
     """Unconditional branch."""
 
+    __slots__ = ("target",)
+
     opcode = "br"
 
     def __init__(self, target: "BasicBlock"):
@@ -351,6 +375,8 @@ class Br(Instruction):
 
 class CondBr(Instruction):
     """Conditional branch: the only instruction that emits TNT bits."""
+
+    __slots__ = ("then_block", "else_block")
 
     opcode = "cbr"
 
@@ -372,6 +398,8 @@ class CondBr(Instruction):
 class Ret(Instruction):
     """Return from the current function."""
 
+    __slots__ = ()
+
     opcode = "ret"
 
     def __init__(self, value: Value | None = None):
@@ -387,6 +415,8 @@ class Ret(Instruction):
 
 class Call(Instruction):
     """Direct (callee is a FunctionRef) or indirect (pointer) call."""
+
+    __slots__ = ("function_type",)
 
     opcode = "call"
 
@@ -429,6 +459,8 @@ def _callee_function_type(callee: Value) -> FunctionType:
 class LockInit(Instruction):
     """Initialize a mutex word."""
 
+    __slots__ = ()
+
     opcode = "lockinit"
 
     def __init__(self, pointer: Value):
@@ -443,6 +475,8 @@ class LockInit(Instruction):
 class Lock(Instruction):
     """Acquire a mutex; blocks (and may deadlock) if held."""
 
+    __slots__ = ()
+
     opcode = "lock"
 
     def __init__(self, pointer: Value):
@@ -456,6 +490,8 @@ class Lock(Instruction):
 
 class Unlock(Instruction):
     """Release a mutex held by the current thread."""
+
+    __slots__ = ()
 
     opcode = "unlock"
 
@@ -485,6 +521,8 @@ class _SyncOp(Instruction):
     """Base for the sync-primitive intrinsics whose first operand is the
     primitive word's address (the pointer diagnosis inspects)."""
 
+    __slots__ = ()
+
     _pointee_cls: type = Type
 
     def __init__(self, pointer: Value, extra: Sequence[Value] = ()):
@@ -499,6 +537,8 @@ class _SyncOp(Instruction):
 class CondInit(_SyncOp):
     """Initialize a condition-variable word (empty wait queue)."""
 
+    __slots__ = ()
+
     opcode = "condinit"
     _pointee_cls = CondType
 
@@ -511,6 +551,8 @@ class CondWait(_SyncOp):
     on signal delivery order contain a latent lost-wakeup hang.
     """
 
+    __slots__ = ()
+
     opcode = "condwait"
     _pointee_cls = CondType
 
@@ -519,12 +561,16 @@ class CondNotify(_SyncOp):
     """Wake the longest-waiting thread blocked on this condition
     variable (FIFO); a no-op — the signal is dropped — if none waits."""
 
+    __slots__ = ()
+
     opcode = "condnotify"
     _pointee_cls = CondType
 
 
 class RwInit(_SyncOp):
     """Initialize a reader-writer lock word (free)."""
+
+    __slots__ = ()
 
     opcode = "rwinit"
     _pointee_cls = RwLockType
@@ -533,12 +579,16 @@ class RwInit(_SyncOp):
 class RwRdLock(_SyncOp):
     """Acquire in shared (reader) mode; blocks while a writer holds."""
 
+    __slots__ = ()
+
     opcode = "rwrdlock"
     _pointee_cls = RwLockType
 
 
 class RwWrLock(_SyncOp):
     """Acquire in exclusive (writer) mode; blocks while anyone holds."""
+
+    __slots__ = ()
 
     opcode = "rwwrlock"
     _pointee_cls = RwLockType
@@ -547,12 +597,16 @@ class RwWrLock(_SyncOp):
 class RwUnlock(_SyncOp):
     """Release whichever mode the current thread holds."""
 
+    __slots__ = ()
+
     opcode = "rwunlock"
     _pointee_cls = RwLockType
 
 
 class SemInit(_SyncOp):
     """Initialize a counting semaphore to ``count`` permits."""
+
+    __slots__ = ()
 
     opcode = "seminit"
     _pointee_cls = SemType
@@ -570,6 +624,8 @@ class SemInit(_SyncOp):
 class SemWait(_SyncOp):
     """P: take one permit, blocking while the count is zero."""
 
+    __slots__ = ()
+
     opcode = "semwait"
     _pointee_cls = SemType
 
@@ -577,12 +633,16 @@ class SemWait(_SyncOp):
 class SemPost(_SyncOp):
     """V: return one permit, waking the longest-blocked waiter if any."""
 
+    __slots__ = ()
+
     opcode = "sempost"
     _pointee_cls = SemType
 
 
 class BarrierInit(_SyncOp):
     """Initialize a cyclic barrier for ``parties`` threads per phase."""
+
+    __slots__ = ()
 
     opcode = "barrierinit"
     _pointee_cls = BarrierType
@@ -602,12 +662,16 @@ class BarrierInit(_SyncOp):
 class BarrierWait(_SyncOp):
     """Block until ``parties`` threads have arrived, then release all."""
 
+    __slots__ = ()
+
     opcode = "barrierwait"
     _pointee_cls = BarrierType
 
 
 class Spawn(Instruction):
     """Start a new thread running ``callee(args...)``; yields a handle."""
+
+    __slots__ = ("function_type",)
 
     opcode = "spawn"
 
@@ -632,6 +696,8 @@ class Spawn(Instruction):
 class Join(Instruction):
     """Wait for the thread behind ``handle`` to finish."""
 
+    __slots__ = ()
+
     opcode = "join"
 
     def __init__(self, handle: Value):
@@ -654,6 +720,8 @@ class Delay(Instruction):
     different inter-event gaps.
     """
 
+    __slots__ = ()
+
     opcode = "delay"
 
     def __init__(self, duration: Value):
@@ -672,6 +740,8 @@ class Assert(Instruction):
     This is the paper's "custom mode of failure" (§7): a developer
     assertion that lets Snorlax treat a semantic violation as fail-stop.
     """
+
+    __slots__ = ("message",)
 
     opcode = "assert"
 

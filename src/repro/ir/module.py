@@ -29,8 +29,10 @@ class Module:
         self.globals: dict[str, GlobalVariable] = {}
         self.functions: dict[str, Function] = {}
         self.finalized = False
-        self._instr_by_uid: dict[int, Instruction] = {}
-        self._block_by_uid: dict[int, BasicBlock] = {}
+        # uid -> instruction / block; uids are dense, so these are lists
+        # indexed by uid holding None at the uids of the other kinds
+        self._instr_by_uid: list[Instruction | None] = []
+        self._block_by_uid: list[BasicBlock | None] = []
         # block -> its pre-decoded instructions, filled by the simulator
         # the first time the block runs (see repro.sim.machine)
         self.code: dict[BasicBlock, tuple] = {}
@@ -98,17 +100,23 @@ class Module:
         for g in self.globals.values():
             g.uid = next_uid
             next_uid += 1
+        instrs: list[Instruction | None] = [None] * next_uid
+        blocks: list[BasicBlock | None] = [None] * next_uid
         for fn in self.functions.values():
             fn._allocas = None
             for block in fn.blocks:
                 block.uid = next_uid
-                self._block_by_uid[next_uid] = block
+                blocks.append(block)
+                instrs.append(None)
                 next_uid += 1
                 for index, instr in enumerate(block.instructions):
                     instr.uid = next_uid
                     instr.block_index = index
-                    self._instr_by_uid[next_uid] = instr
+                    blocks.append(None)
+                    instrs.append(instr)
                     next_uid += 1
+        self._instr_by_uid = instrs
+        self._block_by_uid = blocks
         self.finalized = True
         return self
 
@@ -124,8 +132,6 @@ class Module:
         alloca list are dropped.
         """
         self.finalized = False
-        self._instr_by_uid.clear()
-        self._block_by_uid.clear()
         return self.finalize(verify)
 
     def _require_finalized(self) -> None:
@@ -134,23 +140,26 @@ class Module:
 
     def instruction(self, uid: int) -> Instruction:
         self._require_finalized()
-        try:
-            return self._instr_by_uid[uid]
-        except KeyError:
-            raise IRError(f"module {self.name} has no instruction uid={uid}") from None
+        table = self._instr_by_uid
+        instr = table[uid] if 0 < uid < len(table) else None
+        if instr is None:
+            raise IRError(f"module {self.name} has no instruction uid={uid}")
+        return instr
 
     def instruction_or_none(self, uid: int) -> Instruction | None:
         """Like :meth:`instruction` but None for unknown uids (e.g. a
         traced uid that names a block or global, not an instruction)."""
         self._require_finalized()
-        return self._instr_by_uid.get(uid)
+        table = self._instr_by_uid
+        return table[uid] if 0 < uid < len(table) else None
 
     def block(self, uid: int) -> BasicBlock:
         self._require_finalized()
-        try:
-            return self._block_by_uid[uid]
-        except KeyError:
-            raise IRError(f"module {self.name} has no block uid={uid}") from None
+        table = self._block_by_uid
+        block = table[uid] if 0 < uid < len(table) else None
+        if block is None:
+            raise IRError(f"module {self.name} has no block uid={uid}")
+        return block
 
     def instructions(self) -> Iterator[Instruction]:
         for fn in self.functions.values():

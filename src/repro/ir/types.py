@@ -32,6 +32,8 @@ WORD_SIZE = 8
 class Type:
     """Base class for all IR types."""
 
+    __slots__ = ()
+
     def size(self) -> int:
         """Size of a value of this type in bytes."""
         raise NotImplementedError
@@ -49,6 +51,8 @@ class Type:
 class VoidType(Type):
     """The type of instructions that produce no value."""
 
+    __slots__ = ()
+
     def size(self) -> int:
         raise IRTypeError("void has no size")
 
@@ -64,6 +68,8 @@ class VoidType(Type):
 
 class IntType(Type):
     """An integer with a declared bit width (i1, i8, i32, i64, ...)."""
+
+    __slots__ = ("bits",)
 
     def __init__(self, bits: int):
         if bits <= 0 or bits > 64:
@@ -86,6 +92,8 @@ class IntType(Type):
 class FloatType(Type):
     """A 64-bit floating point value."""
 
+    __slots__ = ()
+
     def size(self) -> int:
         return WORD_SIZE
 
@@ -105,6 +113,8 @@ class LockType(Type):
     Deadlock diagnosis keys on pointers to values of this type: the
     failing operand of a deadlock is a ``ptr<lock>`` (paper §4.3).
     """
+
+    __slots__ = ()
 
     def size(self) -> int:
         return WORD_SIZE
@@ -128,6 +138,8 @@ class CondType(Type):
     wakeups expressible as corpus bugs.
     """
 
+    __slots__ = ()
+
     def size(self) -> int:
         return WORD_SIZE
 
@@ -149,6 +161,8 @@ class RwLockType(Type):
     release like ``unlock``.
     """
 
+    __slots__ = ()
+
     def size(self) -> int:
         return WORD_SIZE
 
@@ -164,6 +178,8 @@ class RwLockType(Type):
 
 class SemType(Type):
     """An opaque counting-semaphore word (``semwait`` = P, ``sempost`` = V)."""
+
+    __slots__ = ()
 
     def size(self) -> int:
         return WORD_SIZE
@@ -181,6 +197,8 @@ class SemType(Type):
 class BarrierType(Type):
     """An opaque cyclic-barrier word for ``parties`` threads per phase."""
 
+    __slots__ = ()
+
     def size(self) -> int:
         return WORD_SIZE
 
@@ -197,6 +215,8 @@ class BarrierType(Type):
 class ThreadType(Type):
     """An opaque thread handle produced by ``spawn`` and used by ``join``."""
 
+    __slots__ = ()
+
     def size(self) -> int:
         return WORD_SIZE
 
@@ -212,6 +232,8 @@ class ThreadType(Type):
 
 class PointerType(Type):
     """A pointer to a value of ``pointee`` type."""
+
+    __slots__ = ("pointee",)
 
     def __init__(self, pointee: Type):
         if isinstance(pointee, VoidType):
@@ -234,6 +256,8 @@ class PointerType(Type):
 class StructField:
     """A named, typed field with a computed byte offset."""
 
+    __slots__ = ("name", "ty", "offset")
+
     def __init__(self, name: str, ty: Type, offset: int):
         self.name = name
         self.ty = ty
@@ -250,6 +274,8 @@ class StructType(Type):
     a struct may contain pointers to itself.  The field list may be set
     after construction (``set_body``) to support such recursion.
     """
+
+    __slots__ = ("name", "fields", "_size", "_sealed")
 
     def __init__(self, name: str, fields: Sequence[tuple[str, Type]] | None = None):
         if not name:
@@ -310,6 +336,8 @@ class StructType(Type):
 class ArrayType(Type):
     """A fixed-length array of ``count`` elements of ``element`` type."""
 
+    __slots__ = ("element", "count")
+
     def __init__(self, element: Type, count: int):
         if count < 0:
             raise IRTypeError(f"negative array length: {count}")
@@ -335,6 +363,8 @@ class ArrayType(Type):
 
 class FunctionType(Type):
     """The type of a function: return type plus parameter types."""
+
+    __slots__ = ("ret", "params")
 
     def __init__(self, ret: Type, params: Sequence[Type]):
         self.ret = ret

@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class Value:
     """Base class of everything that can appear as an operand."""
 
+    __slots__ = ("ty", "name")
+
     def __init__(self, ty: Type, name: str = ""):
         self.ty = ty
         self.name = name
@@ -35,6 +37,8 @@ class Value:
 
 class Constant(Value):
     """An integer or float literal."""
+
+    __slots__ = ("value",)
 
     def __init__(self, ty: Type, value: int | float):
         super().__init__(ty)
@@ -59,6 +63,8 @@ class Constant(Value):
 class NullPointer(Value):
     """The null pointer constant for a given pointer type."""
 
+    __slots__ = ()
+
     def __init__(self, ty: PointerType):
         if not isinstance(ty, PointerType):
             raise IRTypeError(f"null must have a pointer type, got {ty}")
@@ -82,6 +88,8 @@ class GlobalVariable(Value):
     zero/null-initialized unless ``initializer`` is given.
     """
 
+    __slots__ = ("value_type", "initializer", "uid")
+
     def __init__(self, name: str, value_type: Type, initializer: Value | None = None):
         super().__init__(PointerType(value_type), name)
         self.value_type = value_type
@@ -95,6 +103,8 @@ class GlobalVariable(Value):
 class Argument(Value):
     """A formal parameter of a function."""
 
+    __slots__ = ("function", "index")
+
     def __init__(self, name: str, ty: Type, function: "Function | None" = None, index: int = -1):
         super().__init__(ty, name)
         self.function = function
@@ -107,6 +117,8 @@ class FunctionRef(Value):
     The ``Function`` object itself is not a Value to keep the class
     hierarchy simple; taking a function's address yields a FunctionRef.
     """
+
+    __slots__ = ("function",)
 
     def __init__(self, function: "Function"):
         super().__init__(function.type, function.name)

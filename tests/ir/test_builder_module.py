@@ -47,6 +47,23 @@ def test_instruction_lookup_by_uid():
         m.instruction(10**9)
 
 
+def test_uid_lookup_refuses_other_kinds_and_out_of_range():
+    m, _ = _simple_module()
+    m.add_global("g", I64)
+    m.finalize()
+    block = m.function("main").entry
+    last = max(i.uid for i in m.instructions())
+    not_instructions = [0, -1, -last, m.global_var("g").uid, block.uid, last + 1]
+    for uid in not_instructions:
+        assert m.instruction_or_none(uid) is None
+        with pytest.raises(IRError, match=f"no instruction uid={uid}"):
+            m.instruction(uid)
+    assert m.block(block.uid) is block
+    for uid in [0, -1, -block.uid, m.global_var("g").uid, block.uid + 1, last + 1]:
+        with pytest.raises(IRError, match=f"no block uid={uid}"):
+            m.block(uid)
+
+
 def test_unfinalized_lookup_rejected():
     m, _ = _simple_module()
     with pytest.raises(IRError):
