@@ -36,8 +36,8 @@ COMMON = [
 # raced the stop rule's evaluations for each buffer, so those counts
 # varied from run to run.  Under a stop rule, as the fleet workload runs,
 # no pool starts now, and the counts repeated in three seed-0 traced
-# runs: 910 trace-cache hits and 910 misses, 1,389 store reads and
-# 1,121 store writes.
+# runs: 910 trace-cache hits and 910 misses, 1,312 store reads and
+# 1,044 store writes.
 COUNTS = {
     "corpus-cold": [*COMMON, "pt.snapshot_bytes"],
     "evidence-replay": COMMON,

@@ -925,8 +925,8 @@ def run_e2e(case: CheckCase) -> None:
             digest, report_digest(via_wire.report), "fleet-wire"
         )
     if p.get("store_check", 1):
-        # store-backed differential: persisting fixpoints/traces and
-        # rebinding them from disk (fresh in-memory LRUs each run, so
+        # store-backed differential: persisting decoded traces and
+        # hydrating them from disk (fresh in-memory LRUs each run, so
         # the second run can only hit via the store) must not change a
         # single digest byte vs the store-free baseline
         from repro.store import DiagnosisStore, persistent_caches
@@ -944,12 +944,12 @@ def run_e2e(case: CheckCase) -> None:
             invariants.check_digest_match(
                 digest, report_digest(second.report), "store-warm"
             )
-            wrote = db.analysis_stats.writes + db.trace_stats.writes
-            hydrated = db.analysis_stats.hits + db.trace_stats.hits
+            wrote = db.trace_stats.writes
+            hydrated = db.trace_stats.hits
             if wrote > 0 and hydrated == 0:
                 raise InvariantViolation(
                     "store-hydrates",
-                    f"the first run persisted {wrote} payloads but the "
+                    f"the first run persisted {wrote} traces but the "
                     "second (fresh-LRU) run hydrated none of them from "
                     "the store",
                 )

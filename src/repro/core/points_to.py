@@ -96,14 +96,7 @@ class PointsToAnalysis:
                 self.module, self.executed_uids, self.algorithm
             )
             with obs.tracer.span("analysis_cache_lookup") as span:
-                # a store-backed cache hydrates from disk on a memory
-                # miss, which needs the live module to rebind the
-                # fixpoint — prefer its richer hook when it has one
-                get_for_module = getattr(self.cache, "get_for_module", None)
-                if get_for_module is not None:
-                    cached = get_for_module(key, self.module, self.executed_uids)
-                else:
-                    cached = self.cache.get(key)
+                cached = self.cache.get(key)
                 span.set(outcome="hit" if cached is not None else "miss")
             if cached is not None:
                 assert isinstance(cached, CachedAnalysis)
@@ -118,15 +111,13 @@ class PointsToAnalysis:
             # incremental seeding: a cached solve of a *sub-scope* of
             # this trace's executed set replays as the starting point,
             # so the worklist only derives the facts the wider scope
-            # adds.  Store-backed caches may not expose the scan.
-            seed_candidate = getattr(self.cache, "seed_candidate", None)
-            if seed_candidate is not None:
-                cached_sub = seed_candidate(
-                    self.module, self.executed_uids, self.algorithm
-                )
-                if cached_sub is not None:
-                    seed = cached_sub.result
-                    self.stats.extra["seeded"] = True
+            # adds.
+            cached_sub = self.cache.seed_candidate(
+                self.module, self.executed_uids, self.algorithm
+            )
+            if cached_sub is not None:
+                seed = cached_sub.result
+                self.stats.extra["seeded"] = True
         with obs.tracer.span("generate_constraints", scope=self.stats.scope) as span:
             self.system = generate_constraints(self.module, self.executed_uids)
             span.set(instructions=self.system.instructions_analyzed)

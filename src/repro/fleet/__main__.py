@@ -136,8 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         "--store",
         default=None,
         metavar="PATH",
-        help="SQLite diagnosis store: persists reports, points-to "
-        "fixpoints, and decoded traces so restarts resume warm and "
+        help="SQLite diagnosis store: persists reports, their evidence "
+        "graphs and decoded traces so restarts resume warm and "
         "shards deduplicate across each other",
     )
     chaos = parser.add_argument_group(

@@ -262,9 +262,9 @@ class FleetServer:
         self._workload_resolver = workload_resolver or _corpus_workload_resolver
         # the server-lifetime caches every diagnosis shares; passing a
         # caches object in lets a fleet keep them warm across restarts.
-        # With a persistent store (and no explicit caches) they become
-        # write-through: a fresh server process hydrates fixpoints and
-        # decoded traces from disk instead of re-deriving them.
+        # With a persistent store (and no explicit caches) the trace
+        # cache becomes write-through: a fresh server process hydrates
+        # decoded traces from disk instead of decoding them again.
         self.store = store
         if not enable_caches:
             self.caches = None

@@ -1,11 +1,12 @@
-"""Write-through adapters: the in-memory diagnosis caches, store-backed.
+"""Write-through adapter: the decoded-trace cache, store-backed.
 
-These subclass the LRUs of :mod:`repro.core.cache` so every existing
-call site (pipeline, fleet server, ``repro.api``) keeps working
-unchanged; the only new behavior is at the edges:
+:class:`PersistentTraceCache` subclasses the LRU of
+:mod:`repro.core.cache` so every existing call site (pipeline, fleet
+server, ``repro.api``) keeps working unchanged; the only new behavior
+is at the edges:
 
 * a **memory miss** consults the store and, on a hit, hydrates the LRU
-  with the rebound object (disk → memory, no re-solve/re-decode);
+  with the stored trace (disk → memory, no re-decode);
 * a **fill** writes through to the store (memory → disk), so the next
   process — or the next shard — starts warm.
 
@@ -16,66 +17,9 @@ tiers count their own hits/misses/writes on the
 
 from __future__ import annotations
 
-from repro.core.cache import (
-    AnalysisCache,
-    CachedAnalysis,
-    DecodedTraceCache,
-    DiagnosisCaches,
-    _LruCache,
-)
-from repro.store.codec import (
-    decode_analysis,
-    decode_trace,
-    encode_analysis,
-    encode_trace,
-    scope_key,
-)
+from repro.core.cache import DecodedTraceCache, DiagnosisCaches, _LruCache
+from repro.store.codec import decode_trace, encode_trace
 from repro.store.store import DiagnosisStore
-
-
-class PersistentAnalysisCache(AnalysisCache):
-    """An :class:`AnalysisCache` whose misses fall through to the store.
-
-    Hydration needs the live module (rebinding a fixpoint regenerates
-    its constraint system), which the cache key alone cannot supply —
-    so the pipeline calls :meth:`get_for_module` (the protocol hook
-    :meth:`repro.core.points_to.PointsToAnalysis.run` prefers when a
-    cache provides it) instead of the key-only :meth:`get`.
-    """
-
-    def __init__(self, store: DiagnosisStore, max_entries: int = 64):
-        super().__init__(max_entries)
-        self.store = store
-
-    def get_for_module(
-        self, key: tuple, module, executed_uids
-    ) -> CachedAnalysis | None:
-        cached = super().get(key)
-        if cached is not None:
-            return cached
-        module_fp, _scope, algorithm = key
-        blob = self.store.get_analysis(
-            module_fp, scope_key(executed_uids), algorithm
-        )
-        if blob is None:
-            return None
-        decoded = decode_analysis(blob, module, executed_uids, algorithm)
-        if decoded is None:
-            return None  # unrebindable payload: fall back to a fresh solve
-        # hydrate memory only — the row is already on disk
-        _LruCache.put(self, key, decoded)
-        return decoded
-
-    def put(self, key: tuple, value) -> None:
-        super().put(key, value)
-        if not isinstance(value, CachedAnalysis):
-            return
-        blob = encode_analysis(value.system, value.result)
-        if blob is not None:
-            module_fp, scope, algorithm = key
-            self.store.put_analysis(
-                module_fp, scope_key(scope), algorithm, blob
-            )
 
 
 class PersistentTraceCache(DecodedTraceCache):
@@ -83,8 +27,8 @@ class PersistentTraceCache(DecodedTraceCache):
     store.  Decoded traces are self-contained, so plain :meth:`get` can
     hydrate — ``get_or_decode`` works unchanged from the base class."""
 
-    def __init__(self, store: DiagnosisStore, max_entries: int = 1024):
-        super().__init__(max_entries)
+    def __init__(self, store: DiagnosisStore):
+        super().__init__()
         self.store = store
 
     def get(self, key: object):
@@ -111,14 +55,9 @@ class PersistentTraceCache(DecodedTraceCache):
         )
 
 
-def persistent_caches(
-    store: DiagnosisStore,
-    analysis_entries: int = 64,
-    trace_entries: int = 1024,
-) -> DiagnosisCaches:
-    """A :class:`DiagnosisCaches` pair backed by ``store`` — what a
-    fleet server uses so restarts resume warm and shards share work."""
-    return DiagnosisCaches(
-        analysis=PersistentAnalysisCache(store, analysis_entries),
-        traces=PersistentTraceCache(store, trace_entries),
-    )
+def persistent_caches(store: DiagnosisStore) -> DiagnosisCaches:
+    """:class:`DiagnosisCaches` whose trace tier is backed by ``store``
+    — what a fleet server uses so restarts resume warm and shards share
+    decodes.  Points-to analyses stay in memory (see
+    :mod:`repro.store.store` for why)."""
+    return DiagnosisCaches(traces=PersistentTraceCache(store))

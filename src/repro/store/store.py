@@ -8,13 +8,16 @@ One file holds the fleet's accumulated knowledge in three tiers:
   pipeline work.  Degraded reports (collection deadline hit, thinner
   evidence) are never stored — a re-report re-diagnoses with full
   evidence instead of freezing the degraded answer forever.
-* ``analyses`` — solved points-to fixpoints keyed by
-  ``(module fingerprint, scope key, algorithm)``, mirroring
-  :class:`repro.core.cache.AnalysisCache`.  Payloads are the rebindable
-  form produced by :mod:`repro.store.codec`.
 * ``traces`` — decoded per-thread traces keyed by ``(module
   fingerprint, tid, buffer hash, MTC period)``, mirroring
   :class:`repro.core.cache.DecodedTraceCache`.
+* ``evidence_nodes`` / ``evidence_edges`` — each stored report's
+  evidence graph (:mod:`repro.provenance`), keyed by report digest.
+
+Solved points-to fixpoints are not stored.  An analysis is scoped to
+the instructions one failure's traces executed, so only a recurrence of
+that failure could reuse it, and the ``reports`` tier answers a
+recurrence before any analysis runs.
 
 The schema is versioned: ``meta.schema_version`` records what is on
 disk, and :data:`_MIGRATIONS` carries forward migrations that an open
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from repro.core.cache import CacheStats
 from repro.errors import FleetError
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _DDL_V1 = (
     """CREATE TABLE IF NOT EXISTS meta (
@@ -64,14 +67,6 @@ _DDL_V1 = (
         digest TEXT NOT NULL,
         degraded INTEGER NOT NULL DEFAULT 0,
         created_at REAL NOT NULL
-    )""",
-    """CREATE TABLE IF NOT EXISTS analyses (
-        module_fp TEXT NOT NULL,
-        scope_key TEXT NOT NULL,
-        algorithm TEXT NOT NULL,
-        payload BLOB NOT NULL,
-        created_at REAL NOT NULL,
-        PRIMARY KEY (module_fp, scope_key, algorithm)
     )""",
     """CREATE TABLE IF NOT EXISTS traces (
         module_fp TEXT NOT NULL,
@@ -112,6 +107,9 @@ _MIGRATIONS: dict[int, tuple[str, ...]] = {
             PRIMARY KEY (report_key, src, dst, stage)
         )""",
     ),
+    # v5: solved points-to fixpoints are no longer stored (no run read
+    # one back); IF EXISTS keeps a concurrent second migration harmless
+    4: ("DROP TABLE IF EXISTS analyses",),
 }
 
 
@@ -129,7 +127,7 @@ class StoredReport:
 
 
 class DiagnosisStore:
-    """The persistent report/analysis/trace store (one SQLite file).
+    """The persistent report/trace/evidence store (one SQLite file).
 
     ``path=":memory:"`` gives an ephemeral store (used by the check
     harness differentials); any other path persists across processes.
@@ -161,7 +159,6 @@ class DiagnosisStore:
                 ).fetchall()
             )
         self.report_stats = CacheStats()
-        self.analysis_stats = CacheStats()
         self.trace_stats = CacheStats()
         self.evidence_stats = CacheStats()
 
@@ -278,42 +275,6 @@ class DiagnosisStore:
                 "SELECT signature FROM reports ORDER BY signature"
             ).fetchall()
         return [r[0] for r in rows]
-
-    # -- analyses ----------------------------------------------------------
-
-    def get_analysis(
-        self, module_fp: str, scope_key: str, algorithm: str
-    ) -> bytes | None:
-        with self.tracer.span("store_get", tier="analysis") as span:
-            with self._lock:
-                row = self._conn.execute(
-                    "SELECT payload FROM analyses WHERE module_fp=? AND "
-                    "scope_key=? AND algorithm=?",
-                    (module_fp, scope_key, algorithm),
-                ).fetchone()
-            if row is None:
-                self.analysis_stats.misses += 1
-                span.set(outcome="miss")
-                return None
-            self.analysis_stats.hits += 1
-            span.set(outcome="hit", bytes=len(row[0]))
-            return row[0]
-
-    def put_analysis(
-        self, module_fp: str, scope_key: str, algorithm: str, payload: bytes
-    ) -> bool:
-        with self.tracer.span("store_put", tier="analysis") as span:
-            with self._lock, self._conn:
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO analyses (module_fp, scope_key, "
-                    "algorithm, payload, created_at) VALUES (?, ?, ?, ?, ?)",
-                    (module_fp, scope_key, algorithm, payload, time.time()),
-                )
-            inserted = cursor.rowcount > 0
-            if inserted:
-                self.analysis_stats.writes += 1
-            span.set(outcome="inserted" if inserted else "duplicate")
-            return inserted
 
     # -- traces ------------------------------------------------------------
 
@@ -443,7 +404,6 @@ class DiagnosisStore:
         """Aggregate across the tiers (the ``store_*`` counters)."""
         tiers = (
             self.report_stats,
-            self.analysis_stats,
             self.trace_stats,
             self.evidence_stats,
         )
@@ -463,7 +423,6 @@ class DiagnosisStore:
                 ).fetchone()[0]
                 for table in (
                     "reports",
-                    "analyses",
                     "traces",
                     "evidence_nodes",
                     "evidence_edges",
@@ -477,7 +436,6 @@ class DiagnosisStore:
         ``absorb_cache_stats``)."""
         registry.absorb_cache_stats("store", self.stats)
         registry.absorb_cache_stats("report_store", self.report_stats)
-        registry.absorb_cache_stats("analysis_store", self.analysis_stats)
         registry.absorb_cache_stats("trace_store", self.trace_stats)
         registry.absorb_cache_stats("evidence_store", self.evidence_stats)
 
