@@ -840,6 +840,20 @@ def build_ab_ba_deadlock(shape: BugShape):
     return m, truth, workload
 
 
+# The ground-truth kind each template's bugs have: a constant of the
+# template, so the registry can filter on it without building a module
+# (_TemplatedBug checks it against the truth a template call returns).
+TEMPLATE_KINDS = {
+    "WR": "order-violation",
+    "RW": "order-violation",
+    "WW": "order-violation",
+    "RWR": "atomicity-violation",
+    "WWR": "atomicity-violation",
+    "RWW": "atomicity-violation",
+    "WRW": "atomicity-violation",
+    "deadlock": "deadlock",
+}
+
 TEMPLATES = {
     "WR": build_use_after_free,
     "RW": build_read_before_init,

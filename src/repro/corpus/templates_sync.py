@@ -548,6 +548,16 @@ PRIMITIVE_TEMPLATES = {
     "lock-chain": build_lock_chain,
 }
 
+# The ground-truth kind of each template class (see TEMPLATE_KINDS in
+# templates.py).
+PRIMITIVE_TEMPLATE_KINDS = {
+    "lost-wakeup": "order-violation",
+    "rw-race": "atomicity-violation",
+    "sema-underflow": "order-violation",
+    "barrier-phase": "order-violation",
+    "lock-chain": "deadlock",
+}
+
 # The primitive vocabulary each template class exercises (the
 # ``BugSpec.primitives`` value app modules should pass to make_spec).
 TEMPLATE_PRIMITIVES = {

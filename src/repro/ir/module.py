@@ -33,9 +33,11 @@ class Module:
         # indexed by uid holding None at the uids of the other kinds
         self._instr_by_uid: list[Instruction | None] = []
         self._block_by_uid: list[BasicBlock | None] = []
-        # block -> its pre-decoded instructions, filled by the simulator
-        # the first time the block runs (see repro.sim.machine)
-        self.code: dict[BasicBlock, tuple] = {}
+        # the simulator's pre-decoded program, filled as machines first
+        # need each entry (see repro.sim.machine): block -> its
+        # instructions' code, function -> its frame layout, and
+        # "globals" -> the globals' address space
+        self.code: dict[BasicBlock | Function | str, tuple] = {}
         # start uid -> its straight-line run up to the next control
         # instruction, filled by the PT decoder the first time a walk
         # reaches that uid (see repro.pt.decoder); an entry depends only

@@ -19,14 +19,13 @@ the information loss of real PT:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pt.packets import (
     TAG_FUP,
     TAG_TIP,
     TAG_TSC,
     TNT_MAX_BITS,
-    encode_fup,
     encode_mtc_run,
     encode_psb,
     encode_tip,
@@ -43,7 +42,7 @@ _REGION_SIDE = struct.Struct("<BQBQ")
 _PACKET_BYTES = _REGION_SIDE.size // 2
 
 
-@dataclass
+@dataclass(slots=True)
 class EncoderStats:
     control_packets: int = 0
     timing_packets: int = 0
@@ -68,15 +67,17 @@ class EncoderStats:
         return self.timing_bytes / total if total else 0.0
 
 
-@dataclass
 class ThreadEncoder:
-    tid: int
-    config: TraceConfig
-    ring: RingBuffer = field(init=False)
-    stats: EncoderStats = field(init=False)
+    __slots__ = (
+        "tid", "config", "ring", "stats", "_pending_tnt", "_last_period",
+        "_bytes_since_psb", "_ret_depth", "_next_uid", "_ended",
+        "_last_timing_time", "_period", "_psb_interval", "_byte_ns", "_mgmt_ns",
+    )
 
-    def __post_init__(self) -> None:
-        self.ring = RingBuffer(self.config.buffer_size)
+    def __init__(self, tid: int, config: TraceConfig):
+        self.tid = tid
+        self.config = config
+        self.ring = RingBuffer(config.buffer_size)
         self.stats = EncoderStats()
         self._pending_tnt: list[bool] = []
         self._last_period: int | None = None
@@ -86,8 +87,13 @@ class ThreadEncoder:
         self._ended = False
         self._last_timing_time: int | None = None
         # the config's hot fields, read on every event
-        self._period = self.config.mtc_period_ns
-        self._psb_interval = self.config.psb_interval_bytes
+        self._period = config.mtc_period_ns
+        self._psb_interval = config.psb_interval_bytes
+        self._byte_ns = config.per_byte_cost_ns
+        self._mgmt_ns = config.per_packet_mgmt_ns
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<ThreadEncoder tid={self.tid} {self.ring.total_written} bytes>"
 
     def _note_timing(self, time: int, blind: bool = False) -> None:
         """Track the longest running-span gap between timing packets.
@@ -200,68 +206,77 @@ class ThreadEncoder:
         Pending TNT bits, the sandwich and its MTC run reach the ring in
         one write, and the statistics and timing-gap reference are
         updated arithmetically: a ring's observable state is its newest
-        ``capacity`` bytes plus ``total_written``, which one
-        concatenated write leaves exactly as the packet-by-packet
+        ``capacity`` bytes plus ``total_written``, which one write of
+        the concatenated packets leaves exactly as the packet-by-packet
         writes would.
         """
-        config = self.config
         period = self._period
         if start // period == self._last_period:
             cost = 0
         else:
             cost = self._catch_up_timing(start)
-        tnt = self._take_tnt()
+        stats = self.stats
         end = start + duration
         first = start // period + 1
         last = end // period
         n_boundaries = last - first + 1
-        stats = self.stats
         # the running gaps the region's timing packets close: entry TSC
         # after the previous timing packet, then either the first
         # interior MTC (at most one period in) or the exit TSC
         gap = start - self._last_timing_time
-        inner = min(period, duration) if n_boundaries > 0 else duration
-        if inner > gap:
-            gap = inner
+        if n_boundaries > 0 and period < duration:
+            if period > gap:
+                gap = period
+        elif duration > gap:
+            gap = duration
         if gap > stats.max_timing_gap_ns:
             stats.max_timing_gap_ns = gap
         self._last_timing_time = end
-        entry = tnt + _REGION_SIDE.pack(TAG_FUP, instr_uid, TAG_TSC, start)
-        exit_ = _REGION_SIDE.pack(TAG_TIP, resume_uid, TAG_TSC, end)
-        ring = self.ring
-        if n_boundaries > 100_000:
-            # Backstop against absurd spans (hours of virtual sleep):
-            # a single TSC stands in for the MTC run.
-            ring.write(entry + encode_tsc(last * period) + exit_)
-            run_bytes = _PACKET_BYTES
-            stats.timing_packets += 1
-        elif n_boundaries > 0:
-            run_bytes = 2 * n_boundaries
-            ring.write_tail(
-                encode_mtc_run(first, n_boundaries, ring.capacity),
-                run_bytes,
-                entry,
-                exit_,
-            )
-            stats.timing_packets += n_boundaries
+        # FUP and TIP are control packets, the two TSCs timing packets,
+        # and pending TNT bits go first as one more control packet
+        bits = self._pending_tnt
+        if bits:
+            self._pending_tnt = []
+            tnt = encode_tnt(bits)
+            head = len(tnt)
+            stats.control_packets += 3
+            stats.control_bytes += head + 2 * _PACKET_BYTES
+            entry = tnt + _REGION_SIDE.pack(TAG_FUP, instr_uid, TAG_TSC, start)
         else:
-            ring.write(entry + exit_)
+            head = 0
+            stats.control_packets += 2
+            stats.control_bytes += 2 * _PACKET_BYTES
+            entry = _REGION_SIDE.pack(TAG_FUP, instr_uid, TAG_TSC, start)
+        exit_ = _REGION_SIDE.pack(TAG_TIP, resume_uid, TAG_TSC, end)
+        if n_boundaries <= 0:
+            self.ring.write(entry + exit_)
             run_bytes = 0
-        cost += len(tnt) * config.per_byte_cost_ns
-        if run_bytes:
-            cost += run_bytes * config.per_byte_cost_ns + int(
-                n_boundaries * config.per_packet_mgmt_ns * max(0, live_threads - 1)
-            )
-        # FUP and TIP are control packets, the two TSCs timing packets
-        stats.control_packets += 2
-        stats.control_bytes += 2 * _PACKET_BYTES
-        stats.timing_packets += 2
+            stats.timing_packets += 2
+        else:
+            ring = self.ring
+            if n_boundaries > 100_000:
+                # Backstop against absurd spans (hours of virtual sleep):
+                # a single TSC stands in for the MTC run.
+                ring.write(entry + encode_tsc(last * period) + exit_)
+                run_bytes = _PACKET_BYTES
+                stats.timing_packets += 3
+            else:
+                run_bytes = 2 * n_boundaries
+                ring.write_tail(
+                    encode_mtc_run(first, n_boundaries, ring.capacity),
+                    run_bytes,
+                    entry,
+                    exit_,
+                )
+                stats.timing_packets += 2 + n_boundaries
+            if live_threads > 1:
+                cost += int(n_boundaries * self._mgmt_ns * (live_threads - 1))
         stats.timing_bytes += 2 * _PACKET_BYTES + run_bytes
         stats.tips += 1
-        self._bytes_since_psb += 4 * _PACKET_BYTES + run_bytes
+        self._bytes_since_psb += head + 4 * _PACKET_BYTES + run_bytes
         self._last_period = last
         self._next_uid = resume_uid
-        return cost
+        return cost + (head + run_bytes) * self._byte_ns
 
     def block(self, instr_uid: int, time: int) -> int:
         """Context switch out (blocked on a lock/join): FUP + timestamp.
@@ -270,11 +285,9 @@ class ThreadEncoder:
         context switch produces anyway, dwarfed by the switch itself.
         """
         self._catch_up_timing(time)
-        self._flush_tnt()
-        self._emit_control(encode_fup(instr_uid))
-        self._emit_timing(encode_tsc(time))
+        self._write_marker(_REGION_SIDE.pack(TAG_FUP, instr_uid, TAG_TSC, time))
+        self._last_period = time // self._period
         self._note_timing(time)
-        self._last_period = time // self.config.mtc_period_ns
         return 0
 
     def wake(self, resume_uid: int, time: int) -> int:
@@ -283,12 +296,10 @@ class ThreadEncoder:
         # reference first so catch-up does not count it as a running gap.
         self._note_timing(time, blind=True)
         self._catch_up_timing(time)
-        self._flush_tnt()
-        self._emit_control(encode_tip(resume_uid))
+        self._write_marker(_REGION_SIDE.pack(TAG_TIP, resume_uid, TAG_TSC, time))
         self.stats.tips += 1
-        self._emit_timing(encode_tsc(time))
-        self._note_timing(time, blind=True)
-        self._last_period = time // self.config.mtc_period_ns
+        self._last_period = time // self._period
+        self._last_timing_time = time  # blind, as above
         self._next_uid = resume_uid
         return 0
 
@@ -296,10 +307,8 @@ class ThreadEncoder:
         """Thread exit: seal the ring with the final TSC + FUP(0) suffix."""
         if self._ended:
             return
-        self._flush_tnt()
-        self._emit_timing(encode_tsc(time))
+        self._write_marker(_REGION_SIDE.pack(TAG_TSC, time, TAG_FUP, 0))
         self._note_timing(time)
-        self._emit_control(encode_fup(0))
         self._ended = True
 
     def snapshot_bytes(self, time: int, stop_uid: int) -> bytes:
@@ -309,22 +318,31 @@ class ThreadEncoder:
         TSC + FUP(stop position) suffix are appended to a copy, the way
         the Snorlax driver drains the hardware buffer on demand.
         """
-        data = self.ring.snapshot()
         if self._ended:
-            return data
-        suffix = bytearray()
+            return self.ring.snapshot()
+        suffix = _REGION_SIDE.pack(TAG_TSC, time, TAG_FUP, stop_uid)
         if self._pending_tnt:
-            suffix += encode_tnt(self._pending_tnt)
-        suffix += encode_tsc(time)
-        suffix += encode_fup(stop_uid)
-        return data + bytes(suffix)
+            suffix = encode_tnt(self._pending_tnt) + suffix
+        return self.ring.snapshot(suffix)
 
     # -- internals ---------------------------------------------------------------
+
+    def _write_marker(self, packed: bytes) -> None:
+        """Write pending TNT bits, then ``packed``: one control packet
+        (FUP or TIP) and one TSC, in either order, uncharged; as one
+        write of what a flush and two packet writes would append."""
+        self.ring.write(self._take_tnt() + packed)
+        stats = self.stats
+        stats.control_packets += 1
+        stats.control_bytes += _PACKET_BYTES
+        stats.timing_packets += 1
+        stats.timing_bytes += _PACKET_BYTES
+        self._bytes_since_psb += 2 * _PACKET_BYTES
 
     def _emit(self, data: bytes) -> int:
         self.ring.write(data)
         self._bytes_since_psb += len(data)
-        return len(data) * self.config.per_byte_cost_ns
+        return len(data) * self._byte_ns
 
     def _emit_control(self, data: bytes) -> int:
         self.stats.control_packets += 1
@@ -335,19 +353,6 @@ class ThreadEncoder:
         self.stats.timing_packets += 1
         self.stats.timing_bytes += len(data)
         return self._emit(data)
-
-    def _emit_mtc_run(self, first_period: int, count: int) -> int:
-        """MTC ticks for periods ``first_period .. + count - 1``, in closed
-        form: only the bytes that can survive in the ring are built, and
-        the rest is accounted arithmetically (2 bytes per tick)."""
-        size = 2 * count
-        self.ring.write_tail(
-            encode_mtc_run(first_period, count, self.ring.capacity), size
-        )
-        self._bytes_since_psb += size
-        self.stats.timing_packets += count
-        self.stats.timing_bytes += size
-        return size * self.config.per_byte_cost_ns
 
     def _take_tnt(self) -> bytes:
         """The pending TNT bits as one accounted packet, for the caller
@@ -368,26 +373,39 @@ class ThreadEncoder:
         if not data:
             return 0
         self.ring.write(data)
-        return len(data) * self.config.per_byte_cost_ns
+        return len(data) * self._byte_ns
 
     def _catch_up_timing(self, time: int) -> int:
-        """Emit the timing packets owed for virtual time reaching ``time``."""
+        """Emit the timing packets owed for virtual time reaching ``time``:
+        pending TNT bits, then an MTC per period boundary passed (a TSC
+        after a silence long enough to wrap the MTC counter), in one
+        write; an MTC run is built only as far as it can survive in the
+        ring, and accounted at 2 bytes per tick."""
         cur = time // self._period
-        if self._last_period is None:
+        last = self._last_period
+        if last is None:
             self._last_period = cur
             self._note_timing(time, blind=True)
             return self._emit_timing(encode_tsc(time))
-        if cur == self._last_period:
+        if cur == last:
             return 0
-        gap = cur - self._last_period
         self._note_timing(time)
-        cost = self._flush_tnt()
-        if gap > self.config.tsc_resync_periods:
-            cost += self._emit_timing(encode_tsc(time))
+        tnt = self._take_tnt()
+        periods = cur - last
+        ring = self.ring
+        stats = self.stats
+        if periods > self.config.tsc_resync_periods:
+            size = _PACKET_BYTES
+            ring.write(tnt + encode_tsc(time))
+            stats.timing_packets += 1
         else:
-            cost += self._emit_mtc_run(self._last_period + 1, gap)
+            size = 2 * periods
+            ring.write_tail(encode_mtc_run(last + 1, periods, ring.capacity), size, tnt)
+            stats.timing_packets += periods
+        stats.timing_bytes += size
+        self._bytes_since_psb += size
         self._last_period = cur
-        return cost
+        return (len(tnt) + size) * self._byte_ns
 
     def _emit_sync(self, time: int) -> int:
         """PSB + TSC + FUP(current position): a decoder re-anchor point,
@@ -402,4 +420,4 @@ class ThreadEncoder:
         self._last_period = time // self._period
         self._note_timing(time, blind=True)
         self._ret_depth = 0  # return compression resets at PSB (real PT)
-        return (len(tnt) + len(sync)) * self.config.per_byte_cost_ns
+        return (len(tnt) + len(sync)) * self._byte_ns

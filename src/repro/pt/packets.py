@@ -168,11 +168,13 @@ def encode_mtc_run(counter: int, count: int, keep: int | None = None) -> bytes:
     ``encode_mtc(counter) + encode_mtc(counter + 1) + ...``, ``count``
     packets long, sliced from the counter cycle."""
     size = 2 * count
-    keep = size if keep is None else min(keep, size)
+    if keep is None or keep > size:
+        keep = size
     start = (2 * counter + size - keep) % _MTC_LAP
-    if start + keep <= len(_MTC_LAPS):
-        return _MTC_LAPS[start : start + keep]
-    return (_MTC_CYCLE * ((start + keep) // _MTC_LAP + 1))[start : start + keep]
+    end = start + keep
+    if end <= 2 * _MTC_LAP:
+        return _MTC_LAPS[start:end]
+    return (_MTC_CYCLE * (end // _MTC_LAP + 1))[start:end]
 
 
 def encode_tsc(time: int) -> bytes:

@@ -38,18 +38,25 @@ class RingBuffer:
         materialized, then ``after``, as one append: every earlier byte
         of the run, and ``before`` too when the run fills the ring,
         would be overwritten before it could be read."""
-        if len(tail) != min(total, self.capacity):
+        capacity = self.capacity
+        if len(tail) != (total if total < capacity else capacity):
             raise ValueError("tail must hold every byte that survives the write")
-        self.write(before + tail + after)
-        self.total_written += total - len(tail)
+        buf = self._buf
+        buf += before
+        buf += tail
+        buf += after
+        self.total_written += len(before) + total + len(after)
+        if len(buf) >= 2 * capacity:
+            del buf[:-capacity]
 
     @property
     def wrapped(self) -> bool:
         return self.total_written > self.capacity
 
-    def snapshot(self) -> bytes:
-        """The surviving bytes, oldest first."""
-        return bytes(self._buf[-self.capacity :])
+    def snapshot(self, suffix: bytes = b"") -> bytes:
+        """The surviving bytes, oldest first, then ``suffix``, copied
+        once."""
+        return b"".join((memoryview(self._buf)[-self.capacity :], suffix))
 
     def clear(self) -> None:
         self._buf.clear()

@@ -51,7 +51,7 @@ class DeadlockReport(FailureReport):
     cycle: tuple[DeadlockEntry, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadStats:
     tid: int
     instructions: int = 0

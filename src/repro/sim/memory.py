@@ -38,7 +38,7 @@ class GuestFault(Exception):
         super().__init__(f"{kind} access at 0x{address:x}{': ' + detail if detail else ''}")
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryObject:
     base: int
     size: int
@@ -66,14 +66,31 @@ class MemoryObject:
 class Memory:
     def __init__(self):
         self._next_base = NULL_GUARD_SIZE
-        self._bases: list[int] = []  # sorted, for containment lookup
-        self._objects: dict[int, MemoryObject] = {}
+        # every object and its base, in allocation order: bases are
+        # bump-allocated, so that order is also address order, the one
+        # containment lookup bisects
+        self._bases: list[int] = []
+        self._objects: list[MemoryObject] = []
         # address -> its object, filled by the first successful lookup:
         # bases are bump-allocated and never reused, so an entry never
         # goes stale (a freed object stays, flagged, at its address)
         self._owners: dict[int, MemoryObject] = {}
         self._words: dict[int, object] = {}
         self.bytes_allocated = 0
+
+    def copy(self) -> "Memory":
+        """A new address space that starts as this one is now.  Objects
+        are shared, not copied, so copy only a space whose objects no
+        access can change: a machine copies its module's globals, which
+        no free or frame pop ever marks dead."""
+        other = Memory.__new__(Memory)
+        other._next_base = self._next_base
+        other._bases = self._bases.copy()
+        other._objects = self._objects.copy()
+        other._owners = self._owners.copy()
+        other._words = self._words.copy()
+        other.bytes_allocated = self.bytes_allocated
+        return other
 
     # -- allocation -----------------------------------------------------
 
@@ -82,11 +99,13 @@ class Memory:
     ) -> MemoryObject:
         if size < 0:
             raise SimulationError(f"negative allocation size {size}")
-        size = max(size, 8)
-        obj = MemoryObject(self._next_base, size, kind, alloc_site, ty, label=label)
-        self._next_base += size + _OBJECT_GAP
-        bisect.insort(self._bases, obj.base)
-        self._objects[obj.base] = obj
+        if size < 8:
+            size = 8
+        base = self._next_base
+        obj = MemoryObject(base, size, kind, alloc_site, ty, False, label)
+        self._next_base = base + size + _OBJECT_GAP
+        self._bases.append(base)
+        self._objects.append(obj)
         self.bytes_allocated += size
         # zero-initialize: absent words read as 0 (see read_word)
         return obj
@@ -114,11 +133,11 @@ class Memory:
         idx = bisect.bisect_right(self._bases, address) - 1
         if idx < 0:
             return None
-        obj = self._objects[self._bases[idx]]
-        return obj if obj.contains(address) else None
+        obj = self._objects[idx]
+        return obj if address < obj.base + obj.size else None
 
     def objects(self) -> list[MemoryObject]:
-        return [self._objects[b] for b in self._bases]
+        return self._objects.copy()
 
     # -- access --------------------------------------------------------------
 

@@ -23,12 +23,10 @@ def _geometric(draw: Callable[[], float], mean: int) -> int:
     (none past the cap), so every policy's RNG stream is fixed by it."""
     p = 1.0 / mean
     cap = 16 * mean
-    count = 1
-    while draw() > p:
-        count += 1
-        if count >= cap:
-            break
-    return count
+    for count in range(1, cap):
+        if draw() <= p:
+            return count
+    return cap
 
 
 class Scheduler:
@@ -80,11 +78,18 @@ class RandomScheduler(Scheduler):
         self._rng = random.Random(self.seed)
 
     def pick(self, runnable: list[int]) -> tuple[int, int]:
-        if not runnable:
+        # ``rng.choice(sorted(runnable))``, inlined over the same draws:
+        # choice's rejection sampling of ``n.bit_length()``-bit words
+        n = len(runnable)
+        if not n:
             raise ValueError("pick() with no runnable threads")
         rng = self._rng
-        tid = rng.choice(sorted(runnable))
-        self._last = tid
+        getrandbits = rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        tid = self._last = sorted(runnable)[r]
         return tid, _geometric(rng.random, self.mean_quantum)
 
 

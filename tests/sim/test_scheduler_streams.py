@@ -84,6 +84,9 @@ class _AlwaysContinue:
     def choice(self, seq):
         return seq[0]
 
+    def getrandbits(self, k: int) -> int:
+        return 0  # what choice() draws to pick seq[0]
+
 
 @pytest.mark.parametrize("mean", [2, 24])
 def test_quantum_stops_at_the_cap_after_exact_draws(mean):
