@@ -77,7 +77,6 @@ class AndersenResult:
     def __init__(self, pts: dict[object, set[AbstractObject]], stats: SolverStats):
         self._pts = pts
         self.stats = stats
-        self._name_index: dict[str, list[AbstractObject]] | None = None
 
     def points_to(self, value: Value) -> frozenset[AbstractObject]:
         return frozenset(self._pts.get(value, ()))
@@ -93,25 +92,6 @@ class AndersenResult:
         members stop sharing storage).  This is the seeding surface:
         a cached sub-scope result replayed into a superset solve."""
         return {node: frozenset(objs) for node, objs in self._pts.items()}
-
-    def objects_named(self, name: str) -> list[AbstractObject]:
-        # One pass over the points-to sets builds the whole name index;
-        # every later query is a dict lookup instead of a full scan.
-        if self._name_index is None:
-            by_name: dict[str, set[AbstractObject]] = {}
-            seen_sets: set[int] = set()  # SCC members share set objects
-            for objs in self._pts.values():
-                if id(objs) in seen_sets:
-                    continue
-                seen_sets.add(id(objs))
-                for o in objs:
-                    by_name.setdefault(o.name, set()).add(o)
-            self._name_index = {
-                name_: sorted(objs, key=lambda o: (o.kind, o.uid, o.name))
-                for name_, objs in by_name.items()
-            }
-        return list(self._name_index.get(name, ()))
-
 
 def solve_naive(system: ConstraintSystem) -> AndersenResult:
     """The classic worklist solver (no SCC collapsing, full-set diffs)."""

@@ -352,18 +352,6 @@ def _earliest_write_after(
     return (best.uid, "W", best)
 
 
-def _first_after_in_thread(
-    trace: ProcessedTrace, uid: int, anchor: DynamicInstruction, tid: int
-) -> DynamicInstruction | None:
-    best: DynamicInstruction | None = None
-    for d in trace.instances(uid):
-        if d.tid != tid or not anchor.before(d):
-            continue
-        if best is None or d.before(best):
-            best = d
-    return best
-
-
 def _distinct_thread(
     inst: DynamicInstruction | None, anchor: DynamicInstruction
 ) -> DynamicInstruction | None:
@@ -378,26 +366,6 @@ def _first_instance_after(
         if anchor.before(d) and d.tid != anchor.tid and (
             best is None or d.before(best)
         ):
-            best = d
-    return best
-
-
-def _same_thread_before(
-    trace: ProcessedTrace,
-    uid: int,
-    anchor: DynamicInstruction,
-    mid: DynamicInstruction,
-) -> DynamicInstruction | None:
-    """Latest instance of ``uid`` in the anchor's thread, before ``mid``."""
-    best: DynamicInstruction | None = None
-    for d in trace.instances(uid):
-        if d.tid != anchor.tid:
-            continue
-        if not d.before(mid):
-            continue
-        if d.uid == anchor.uid and d.seq == anchor.seq:
-            continue
-        if best is None or best.before(d):
             best = d
     return best
 

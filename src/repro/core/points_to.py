@@ -157,10 +157,6 @@ class PointsToAnalysis:
         self._require_run()
         return self.result.may_alias(a, b)  # type: ignore[union-attr]
 
-    def object_for_site(self, uid: int) -> AbstractObject | None:
-        self._require_run()
-        return self.system.objects.get(uid)  # type: ignore[union-attr]
-
     def _require_run(self) -> None:
         if self.result is None:
             raise RuntimeError("call run() before querying the analysis")

@@ -40,7 +40,6 @@ from repro.fleet.server import (
 from repro.fleet.shard import (
     HashRing,
     ShardedFleet,
-    ShardRouter,
     signature_for_failure,
 )
 from repro.fleet.simulation import (
@@ -87,7 +86,6 @@ __all__ = [
     "report_digest",
     "HashRing",
     "ShardedFleet",
-    "ShardRouter",
     "signature_for_failure",
     "DEFAULT_BUGS",
     "AgentOutcome",

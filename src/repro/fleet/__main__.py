@@ -21,17 +21,17 @@ from repro.fleet.simulation import DEFAULT_BUGS, FleetConfig, run_fleet
 from repro.obs import MetricsRegistry
 
 
-def _verify_digests(result, metrics, config) -> list[str]:
+def _verify_digests(result, metrics) -> list[str]:
     """Re-diagnose each fleet-diagnosed bug in process and compare
     digests.  Degraded digests are skipped (thinner evidence is not
     comparable); any other divergence is a correctness failure.
 
-    The in-process server mirrors the fleet's stopping configuration —
-    the evidence-equivalence contract says transport must not change
-    the evidence, but the stopping *rule* legitimately does.
+    The in-process server runs the policy the fleet ran — the
+    evidence-equivalence contract says transport must not change the
+    evidence, but the stopping *rule* legitimately does.
     """
     from repro.fleet.server import report_digest
-    from repro.runtime import CollectionPolicy, SnorlaxClient, SnorlaxServer
+    from repro.runtime import SnorlaxClient, SnorlaxServer
 
     mismatches: list[str] = []
     for signature, digest in sorted(result.digests.items()):
@@ -41,17 +41,9 @@ def _verify_digests(result, metrics, config) -> list[str]:
         spec = corpus_bug(bug_id)
         client = SnorlaxClient(spec.module(), spec.workload, entry=spec.entry)
         failing = client.find_runs(True, 1)[0]
-        server = SnorlaxServer(
-            spec.module(),
-            policy=CollectionPolicy(
-                success_traces_wanted=config.success_traces_wanted,
-                stopping=config.stopping,
-                stability_window=config.stability_window,
-                adaptive_min_traces=config.adaptive_min_traces,
-            ),
-        )
+        server = SnorlaxServer(spec.module(), policy=result.policy)
         report = server.diagnose(failing, client).report
-        if config.validate:
+        if result.config.validate:
             # the fleet stamped its reports post-diagnosis; mirror that
             # or every digest would "diverge" on the validation key
             from repro.validate import validate_report
@@ -61,6 +53,8 @@ def _verify_digests(result, metrics, config) -> list[str]:
                 entry=spec.entry, failing_seed=failing.seed,
             )
         expected = report_digest(report)
+        if expected["degraded"]:
+            continue  # the policy's deadline cut the in-process run short
         if digest != expected:
             metrics.inc("digest_mismatches")
             mismatches.append(signature)
@@ -96,11 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--traces", type=int, default=10, help="successful traces per diagnosis"
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the analysis/trace caches (ablation)",
     )
     parser.add_argument(
         "--adaptive-traces",
@@ -280,7 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         max_pending=args.max_pending,
         success_traces_wanted=args.traces,
-        cache_enabled=not args.no_cache,
         stopping="stable-top" if args.adaptive_traces else "fixed",
         stability_window=args.stability_window,
         validate=args.validate,
@@ -308,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
 
     mismatches: list[str] = []
     if args.verify_digests:
-        mismatches = _verify_digests(result, metrics, config)
+        mismatches = _verify_digests(result, metrics)
 
     print(result.render())
     print()

@@ -54,11 +54,6 @@ from repro.fleet.wire import HEADER_SIZE, MsgType, decode_header
 _NEVER_DROPPED = frozenset(
     {MsgType.HELLO, MsgType.FAILURE, MsgType.GOODBYE}
 )
-# "dies right before answering": both the single-response frame and the
-# batched wave frame count as answering a trace request
-_ANSWER_FRAMES = frozenset(
-    {MsgType.TRACE_RESPONSE, MsgType.TRACE_BATCH_RESPONSE}
-)
 
 
 class AgentCrashed(ConnectionError):
@@ -159,8 +154,10 @@ class FaultEngine:
         if self._roll(plan.delay_rate):
             self.counts["delayed"] += 1
             time.sleep(self.rng.uniform(0.0, plan.max_delay_s))
+        # "dies right before answering": an agent answers trace
+        # requests with one batch frame per wave chunk
         if (
-            msg_type in _ANSWER_FRAMES
+            msg_type == MsgType.TRACE_BATCH_RESPONSE
             and self.counts["crashes"] < plan.max_crashes_per_agent
             and self._roll(plan.crash_rate)
         ):

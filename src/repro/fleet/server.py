@@ -164,9 +164,9 @@ def _corpus_resolver(bug_id: str) -> Module:
     return bug(bug_id).module()
 
 
-def _corpus_workload_resolver(bug_id: str):
-    """Default workload lookup for validation: the corpus spec's
-    workload and entry point.  Returns (workload, entry)."""
+def _corpus_workload(bug_id: str):
+    """The workload lookup for validation: the corpus spec's workload
+    and entry point.  Returns (workload, entry)."""
     from repro.corpus import bug
 
     spec = bug(bug_id)
@@ -206,14 +206,12 @@ class FleetServer:
         port: int = 0,
         workers: int | None = 2,
         max_pending: int = 8,
-        retry_after: float = 0.25,
         success_traces_wanted: int = 10,
         start_seed: int = 10_000,
         config: PipelineConfig | None = None,
         metrics: MetricsRegistry | None = None,
         request_timeout: float = 120.0,
         caches: DiagnosisCaches | None = None,
-        enable_caches: bool = True,
         stopping: str = "fixed",
         stability_window: int = 3,
         adaptive_min_traces: int = 4,
@@ -225,7 +223,6 @@ class FleetServer:
         store=None,
         collection_policy=None,
         validate: bool = False,
-        workload_resolver=None,
         heartbeat_timeout_s: float | None = None,
         prune_interval_s: float | None = None,
         anomaly_detector: EwmaAnomalyDetector | None = None,
@@ -259,16 +256,13 @@ class FleetServer:
         # post-report validation: replay the diagnosed order (forced +
         # inverse) and stamp the report validated/refuted
         self.validate = validate
-        self._workload_resolver = workload_resolver or _corpus_workload_resolver
         # the server-lifetime caches every diagnosis shares; passing a
         # caches object in lets a fleet keep them warm across restarts.
         # With a persistent store (and no explicit caches) the trace
         # cache becomes write-through: a fresh server process hydrates
         # decoded traces from disk instead of decoding them again.
         self.store = store
-        if not enable_caches:
-            self.caches = None
-        elif caches is not None:
+        if caches is not None:
             self.caches = caches
         elif store is not None:
             from repro.store import persistent_caches
@@ -290,7 +284,6 @@ class FleetServer:
         self.jobs = DiagnosisJobQueue(
             workers=workers,
             max_pending=max_pending,
-            retry_after=retry_after,
             metrics=self.metrics,
             tracer=self.obs.tracer,
         )
@@ -901,13 +894,13 @@ class FleetServer:
     ) -> None:
         """Post-report validation: replay the diagnosed order forced and
         inverse on the reporting endpoint's failing seed, stamping
-        ``report.validation``.  A bug id the workload resolver cannot
-        answer for is skipped with a note, never an error."""
+        ``report.validation``.  A bug id the corpus cannot answer
+        for is skipped with a note, never an error."""
         from repro.errors import ReproError
         from repro.validate import validate_report
 
         try:
-            workload, entry = self._workload_resolver(env.bug_id)
+            workload, entry = _corpus_workload(env.bug_id)
         except ReproError as exc:
             report.notes.append(f"validation skipped: {exc}")
             self.metrics.inc("validations_skipped")

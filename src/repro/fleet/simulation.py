@@ -21,7 +21,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api import SchedulerPolicy
 from repro.errors import FleetError
 from repro.fleet.agent import FleetAgent, MonitorLoop
 from repro.fleet.chaos import FaultPlan
@@ -33,8 +32,11 @@ from repro.obs import (
     Observability,
     write_trace_jsonl,
 )
+from repro.runtime.server import CollectionPolicy
 
 DEFAULT_BUGS = ("pbzip2-n/a", "memcached-271", "aget-2")
+# wall-clock bound on waiting for every reporter's diagnosis
+RUN_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -45,14 +47,11 @@ class FleetConfig:
     workers: int | None = 3  # None: auto-scale to the machine
     max_pending: int = 8
     success_traces_wanted: int = 10
-    cache_enabled: bool = True
     # "fixed": stop at success_traces_wanted; "stable-top": stop when the
     # top-ranked pattern is stable across stability_window samples
     stopping: str = "fixed"
     stability_window: int = 3
-    adaptive_min_traces: int = 4
     host: str = "127.0.0.1"
-    timeout: float = 600.0
     # -- sharding & persistence --------------------------------------------
     # FleetServer shards, consistent-hash routed by failure signature
     # (1: a single server).  Monitoring and the dashboard need one.
@@ -64,16 +63,12 @@ class FleetConfig:
     # post-report validation: replay each diagnosed order (forced +
     # inverse) via repro.validate and stamp reports validated/refuted
     validate: bool = False
-    # scheduler policy endpoints collect under (cache-key input)
-    collection_policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
     # -- resilience knobs --------------------------------------------------
     # seed-driven fault injection (None: a polite network)
     chaos: FaultPlan | None = None
     request_timeout: float = 120.0  # one trace request, reroutes included
     trace_reply_timeout: float = 30.0  # one endpoint's answer, then reroute
     collection_deadline_s: float | None = None  # degrade past this
-    min_success_traces: int = 1
-    agent_reconnect_attempts: int = 8
     frame_timeout: float = 30.0  # started frames must finish in this
     # -- observability -----------------------------------------------------
     trace_out: str | None = None  # write the span tree here (JSONL)
@@ -112,6 +107,7 @@ class FleetRunResult:
     elapsed: float
     metrics: dict
     outcomes: list[AgentOutcome]
+    policy: CollectionPolicy  # the step-8 policy every shard ran
     digests: dict[str, dict] = field(default_factory=dict)  # signature -> digest
     # observability artifacts of this run
     spans_written: int = 0  # spans written to config.trace_out
@@ -348,23 +344,21 @@ def run_fleet(
         max_pending=cfg.max_pending,
         success_traces_wanted=cfg.success_traces_wanted,
         caches=caches,
-        enable_caches=cfg.cache_enabled,
         stopping=cfg.stopping,
         stability_window=cfg.stability_window,
-        adaptive_min_traces=cfg.adaptive_min_traces,
         request_timeout=cfg.request_timeout,
         trace_reply_timeout=cfg.trace_reply_timeout,
         collection_deadline_s=cfg.collection_deadline_s,
-        min_success_traces=cfg.min_success_traces,
         frame_timeout=cfg.frame_timeout,
-        collection_policy=cfg.collection_policy,
         validate=cfg.validate,
         heartbeat_timeout_s=cfg.heartbeat_timeout_s,
         dashboard_port=cfg.dashboard_port,
     )
     addresses = fleet.start()
-    # a dashboard implies exactly one shard (checked above)
-    dashboard = fleet.servers[fleet.shard_names[0]].dashboard
+    # every shard runs the same policy; a dashboard implies exactly one
+    # shard (checked above)
+    first = fleet.servers[fleet.shard_names[0]]
+    dashboard = first.dashboard
     # one Prometheus endpoint over the shared registry, however many
     # shards record into it
     prometheus = None
@@ -413,7 +407,6 @@ def run_fleet(
             cfg.host,
             0,  # placeholder; the route (or shard_name) decides
             fault_engine=engine,
-            reconnect_attempts=cfg.agent_reconnect_attempts,
             frame_timeout=cfg.frame_timeout,
         )
         try:
@@ -494,7 +487,7 @@ def run_fleet(
     started = time.perf_counter()
     for thread in threads:
         thread.start()
-    deadline = time.monotonic() + cfg.timeout
+    deadline = time.monotonic() + RUN_TIMEOUT_S
     try:
         while time.monotonic() < deadline:
             with state_lock:
@@ -534,6 +527,7 @@ def run_fleet(
         elapsed=elapsed,
         metrics=metrics.as_dict(),
         outcomes=outcomes,
+        policy=first.policy,
         digests=digests,
         spans_written=spans_written,
         metrics_url=prometheus.url if prometheus is not None else None,

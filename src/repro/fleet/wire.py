@@ -17,29 +17,42 @@ no text encoding, no escaping.  The crc32 covers the payload; a frame
 whose checksum does not match its bytes (truncation, corruption) raises
 :class:`~repro.errors.WireError` rather than deserializing garbage.
 
+Messages map onto payloads by one rule, derived from the message
+dataclasses rather than written out per message.  ``_MESSAGES`` maps
+each message type to its class.  A record goes out as a dict of its
+fields in declaration order; a field holding a sequence of records goes
+out as a list, any other sequence as a tuple, and every other value as
+itself.  A :class:`~repro.sim.failures.FailureReport` writes its
+``"cls"`` tag (``base``/``crash``/``deadlock``) after the base-class
+fields.  Decoding rebuilds each record from its class's field types
+(resolved once per class); every field is required, even one the
+dataclass defaults, and an unknown message type or ``cls`` tag raises
+:class:`~repro.errors.WireError`.  Adding a field to a message therefore
+changes its frames: bump ``VERSION`` and regenerate the golden frames.
+
 ``request_id`` correlates responses with requests on a multiplexed
-connection: the server tags each :class:`TraceRequest` it sends, and the
-agent echoes the id on the :class:`TraceResponse`.
+connection: the server tags each :class:`TraceBatchRequest` it sends,
+and the agent echoes the id on the :class:`TraceBatchResponse`.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import functools
 import socket
 import struct
+import types
+import typing
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.pipeline import TraceSample
 from repro.errors import WireError
 from repro.runtime.protocol import FailureNotification, TraceRequest, TraceResponse
-from repro.sim.failures import (
-    CrashReport,
-    DeadlockEntry,
-    DeadlockReport,
-    FailureReport,
-)
+from repro.sim.failures import CrashReport, DeadlockReport, FailureReport
 
 MAGIC = b"SX"
 # 2: a TraceResponse carries ``captured``; a failing step-8 run ships no sample
@@ -52,6 +65,8 @@ MAX_PAYLOAD = 64 * 1024 * 1024  # sanity bound; a 64 KB ring is ~1000x smaller
 class MsgType(IntEnum):
     HELLO = 1
     FAILURE = 2
+    # the bare step-8 frames, superseded by the batch frames: reserved,
+    # no class encodes to them and a frame of either type is refused
     TRACE_REQUEST = 3
     TRACE_RESPONSE = 4
     RESULT = 5
@@ -299,244 +314,115 @@ def decode_value(data: bytes, pos: int = 0, depth: int = 0) -> tuple[Any, int]:
     raise WireError(f"unknown value tag 0x{tag:02x}")
 
 
-# -- dataclass <-> dict ----------------------------------------------------
+# -- messages <-> dicts ----------------------------------------------------
+
+_MESSAGES: dict[int, type] = {
+    MsgType.HELLO: Hello,
+    MsgType.FAILURE: FailureEnvelope,
+    MsgType.RESULT: DiagnosisResult,
+    MsgType.REJECT: Reject,
+    MsgType.GOODBYE: Goodbye,
+    MsgType.ERROR: WireFault,
+    MsgType.TRACE_BATCH_REQUEST: TraceBatchRequest,
+    MsgType.TRACE_BATCH_RESPONSE: TraceBatchResponse,
+    MsgType.HEARTBEAT: Heartbeat,
+    MsgType.MONITOR_SAMPLE: MonitorSample,
+}
+_MSG_TYPES = {cls: msg_type for msg_type, cls in _MESSAGES.items()}
+
+# a FailureReport's "cls" tag, written after the base-class fields
+_FAILURE_CLASSES = {"base": FailureReport, "crash": CrashReport, "deadlock": DeadlockReport}
+_FAILURE_TAGS = {cls: tag for tag, cls in _FAILURE_CLASSES.items()}
+_BASE_FIELDS = len(dataclasses.fields(FailureReport))
+
+# (encode, decode) of one field; None is the identity
+_Codec = tuple[Callable[[Any], Any] | None, Callable[[Any], Any] | None]
 
 
-def _failure_to_dict(f: FailureReport | None) -> dict | None:
-    if f is None:
-        return None
-    base = {
-        "kind": f.kind,
-        "failing_uid": f.failing_uid,
-        "failing_tid": f.failing_tid,
-        "time": f.time,
-        "detail": f.detail,
-    }
-    if isinstance(f, CrashReport):
-        base["cls"] = "crash"
-        base["fault_kind"] = f.fault_kind
-        base["fault_address"] = f.fault_address
-        base["operand_value"] = f.operand_value
-    elif isinstance(f, DeadlockReport):
-        base["cls"] = "deadlock"
-        base["cycle"] = [
-            {
-                "tid": e.tid,
-                "waiting_for_lock": e.waiting_for_lock,
-                "held_locks": e.held_locks,
-                "instr_uid": e.instr_uid,
-                "since": e.since,
-            }
-            for e in f.cycle
-        ]
-    else:
-        base["cls"] = "base"
-    return base
-
-
-def _failure_from_dict(d: dict | None) -> FailureReport | None:
-    if d is None:
-        return None
-    common = dict(
-        kind=d["kind"],
-        failing_uid=d["failing_uid"],
-        failing_tid=d["failing_tid"],
-        time=d["time"],
-        detail=d["detail"],
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, Callable | None, Callable | None], ...]:
+    """``cls``'s fields in declaration order, each with its codec,
+    derived from the field types once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, *_field_codec(hints[f.name])) for f in dataclasses.fields(cls)
     )
-    cls = d.get("cls", "base")
-    if cls == "crash":
-        return CrashReport(
-            **common,
-            fault_kind=d["fault_kind"],
-            fault_address=d["fault_address"],
-            operand_value=d["operand_value"],
+
+
+def _field_codec(hint: Any) -> _Codec:
+    if hint is FailureReport:
+        return _failure_to_dict, _failure_from_dict
+    if dataclasses.is_dataclass(hint):
+        return _to_dict, functools.partial(_from_dict, hint)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        encode, decode = _field_codec(inner)
+        if encode is None:
+            return None, None
+        return (
+            lambda v: None if v is None else encode(v),
+            lambda v: None if v is None else decode(v),
         )
-    if cls == "deadlock":
-        return DeadlockReport(
-            **common,
-            cycle=tuple(
-                DeadlockEntry(
-                    tid=e["tid"],
-                    waiting_for_lock=e["waiting_for_lock"],
-                    held_locks=tuple(e["held_locks"]),
-                    instr_uid=e["instr_uid"],
-                    since=e["since"],
-                )
-                for e in d["cycle"]
-            ),
+    if origin in (tuple, collections.abc.Sequence):
+        encode, decode = _field_codec(args[0])
+        if encode is None:
+            return tuple, tuple
+        return (
+            lambda v: [encode(item) for item in v],
+            lambda v: tuple(decode(item) for item in v),
         )
-    return FailureReport(**common)
+    return None, None
+
+
+def _to_dict(record: Any) -> dict:
+    return {
+        name: getattr(record, name) if encode is None else encode(getattr(record, name))
+        for name, encode, _ in _fields(type(record))
+    }
+
+
+def _from_dict(cls: type, d: dict) -> Any:
+    return cls(**{
+        name: d[name] if decode is None else decode(d[name])
+        for name, _, decode in _fields(cls)
+    })
+
+
+def _failure_to_dict(failure: FailureReport) -> dict:
+    items = list(_to_dict(failure).items())
+    items.insert(_BASE_FIELDS, ("cls", _FAILURE_TAGS[type(failure)]))
+    return dict(items)
+
+
+def _failure_from_dict(d: dict) -> FailureReport:
+    cls = _FAILURE_CLASSES.get(d["cls"])
+    if cls is None:
+        raise WireError(f"unknown failure class {d['cls']!r}")
+    return _from_dict(cls, d)
 
 
 def sample_to_dict(s: TraceSample) -> dict:
-    return {
-        "label": s.label,
-        "failing": s.failing,
-        "buffers": dict(s.buffers),
-        "positions": dict(s.positions),
-        "failure": _failure_to_dict(s.failure),
-        "snapshot_time": s.snapshot_time,
-    }
+    return _to_dict(s)
 
 
 def sample_from_dict(d: dict) -> TraceSample:
-    return TraceSample(
-        label=d["label"],
-        failing=d["failing"],
-        buffers=dict(d["buffers"]),
-        positions=dict(d["positions"]),
-        failure=_failure_from_dict(d["failure"]),
-        snapshot_time=d["snapshot_time"],
-    )
+    return _from_dict(TraceSample, d)
 
 
-def _trace_request_to_dict(msg: TraceRequest) -> dict:
-    return {
-        "label": msg.label,
-        "seed": msg.seed,
-        "breakpoint_uids": tuple(msg.breakpoint_uids),
-        "breakpoint_skip": msg.breakpoint_skip,
-    }
-
-
-def _trace_request_from_dict(d: dict) -> TraceRequest:
-    return TraceRequest(
-        label=d["label"],
-        seed=d["seed"],
-        breakpoint_uids=tuple(d["breakpoint_uids"]),
-        breakpoint_skip=d["breakpoint_skip"],
-    )
-
-
-def _trace_response_to_dict(msg: TraceResponse) -> dict:
-    return {
-        "label": msg.label,
-        "outcome": msg.outcome,
-        "sample": None if msg.sample is None else sample_to_dict(msg.sample),
-        "captured": msg.captured,
-    }
-
-
-def _trace_response_from_dict(d: dict) -> TraceResponse:
-    sample = d["sample"]
-    return TraceResponse(
-        label=d["label"],
-        outcome=d["outcome"],
-        sample=None if sample is None else sample_from_dict(sample),
-        captured=d["captured"],
-    )
-
-
-def _encode_payload(msg: Any) -> tuple[MsgType, dict]:
-    if isinstance(msg, Hello):
-        return MsgType.HELLO, {"agent_id": msg.agent_id, "bug_id": msg.bug_id}
-    if isinstance(msg, FailureEnvelope):
-        n = msg.notification
-        return MsgType.FAILURE, {
-            "bug_id": msg.bug_id,
-            "seed": msg.seed,
-            "notification": {
-                "bug_hint": n.bug_hint,
-                "failing_uid": n.failing_uid,
-                "failing_tid": n.failing_tid,
-                "time": n.time,
-            },
-            "sample": sample_to_dict(msg.sample),
-        }
-    if isinstance(msg, TraceRequest):
-        return MsgType.TRACE_REQUEST, _trace_request_to_dict(msg)
-    if isinstance(msg, TraceResponse):
-        return MsgType.TRACE_RESPONSE, _trace_response_to_dict(msg)
-    if isinstance(msg, TraceBatchRequest):
-        return MsgType.TRACE_BATCH_REQUEST, {
-            "requests": [_trace_request_to_dict(r) for r in msg.requests],
-        }
-    if isinstance(msg, TraceBatchResponse):
-        return MsgType.TRACE_BATCH_RESPONSE, {
-            "responses": [_trace_response_to_dict(r) for r in msg.responses],
-        }
-    if isinstance(msg, Heartbeat):
-        return MsgType.HEARTBEAT, {
-            "agent_id": msg.agent_id,
-            "seq": msg.seq,
-            "uptime_s": msg.uptime_s,
-            "samples_sent": msg.samples_sent,
-            "failures_seen": msg.failures_seen,
-        }
-    if isinstance(msg, MonitorSample):
-        return MsgType.MONITOR_SAMPLE, {
-            "bug_id": msg.bug_id,
-            "seed": msg.seed,
-            "outcome": msg.outcome,
-            "hang": msg.hang,
-            "sample": None if msg.sample is None else sample_to_dict(msg.sample),
-        }
-    if isinstance(msg, DiagnosisResult):
-        return MsgType.RESULT, {"signature": msg.signature, "digest": msg.digest}
-    if isinstance(msg, Reject):
-        return MsgType.REJECT, {"retry_after": msg.retry_after, "reason": msg.reason}
-    if isinstance(msg, Goodbye):
-        return MsgType.GOODBYE, {"agent_id": msg.agent_id}
-    if isinstance(msg, WireFault):
-        return MsgType.ERROR, {"message": msg.message}
-    raise WireError(f"cannot put a {type(msg).__name__} on the wire")
+def _encode_payload(msg: Any) -> tuple[int, dict]:
+    msg_type = _MSG_TYPES.get(type(msg))
+    if msg_type is None:
+        raise WireError(f"cannot put a {type(msg).__name__} on the wire")
+    return msg_type, _to_dict(msg)
 
 
 def _decode_payload(msg_type: int, d: dict) -> Any:
-    if msg_type == MsgType.HELLO:
-        return Hello(agent_id=d["agent_id"], bug_id=d["bug_id"])
-    if msg_type == MsgType.FAILURE:
-        n = d["notification"]
-        return FailureEnvelope(
-            bug_id=d["bug_id"],
-            seed=d["seed"],
-            notification=FailureNotification(
-                bug_hint=n["bug_hint"],
-                failing_uid=n["failing_uid"],
-                failing_tid=n["failing_tid"],
-                time=n["time"],
-            ),
-            sample=sample_from_dict(d["sample"]),
-        )
-    if msg_type == MsgType.TRACE_REQUEST:
-        return _trace_request_from_dict(d)
-    if msg_type == MsgType.TRACE_RESPONSE:
-        return _trace_response_from_dict(d)
-    if msg_type == MsgType.TRACE_BATCH_REQUEST:
-        return TraceBatchRequest(
-            requests=tuple(_trace_request_from_dict(r) for r in d["requests"]),
-        )
-    if msg_type == MsgType.TRACE_BATCH_RESPONSE:
-        return TraceBatchResponse(
-            responses=tuple(_trace_response_from_dict(r) for r in d["responses"]),
-        )
-    if msg_type == MsgType.HEARTBEAT:
-        return Heartbeat(
-            agent_id=d["agent_id"],
-            seq=d["seq"],
-            uptime_s=d["uptime_s"],
-            samples_sent=d["samples_sent"],
-            failures_seen=d["failures_seen"],
-        )
-    if msg_type == MsgType.MONITOR_SAMPLE:
-        sample = d["sample"]
-        return MonitorSample(
-            bug_id=d["bug_id"],
-            seed=d["seed"],
-            outcome=d["outcome"],
-            hang=d["hang"],
-            sample=None if sample is None else sample_from_dict(sample),
-        )
-    if msg_type == MsgType.RESULT:
-        return DiagnosisResult(signature=d["signature"], digest=d["digest"])
-    if msg_type == MsgType.REJECT:
-        return Reject(retry_after=d["retry_after"], reason=d["reason"])
-    if msg_type == MsgType.GOODBYE:
-        return Goodbye(agent_id=d["agent_id"])
-    if msg_type == MsgType.ERROR:
-        return WireFault(message=d["message"])
-    raise WireError(f"unknown message type {msg_type}")
+    cls = _MESSAGES.get(msg_type)
+    if cls is None:
+        raise WireError(f"unknown message type {msg_type}")
+    return _from_dict(cls, d)
 
 
 # -- framing ---------------------------------------------------------------

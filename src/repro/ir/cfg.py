@@ -29,14 +29,6 @@ def predecessors_map(fn: Function) -> dict[BasicBlock, list[BasicBlock]]:
     return preds
 
 
-def predecessors(block: BasicBlock) -> list[BasicBlock]:
-    """Predecessors of a single block (convenience over predecessors_map)."""
-    fn = block.function
-    if fn is None:
-        return []
-    return predecessors_map(fn)[block]
-
-
 def reachable_blocks(fn: Function) -> set[BasicBlock]:
     """Blocks reachable from the entry block."""
     seen: set[BasicBlock] = set()
@@ -181,10 +173,6 @@ def control_dependent_blocks(fn: Function) -> dict[BasicBlock, set[BasicBlock]]:
                 if b not in pdom[brancher] or b is brancher:
                     result[b].add(brancher)
     return result
-
-
-def module_block_count(module: Module) -> int:
-    return sum(len(fn.blocks) for fn in module.functions.values())
 
 
 def blocks(module: Module) -> Iterable[BasicBlock]:

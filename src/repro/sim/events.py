@@ -37,17 +37,8 @@ class EventLog:
         self.watched: set[int] = set(watched)
         self.events: list[TargetEvent] = []
 
-    def watch(self, uid: int) -> None:
-        self.watched.add(uid)
-
     def record(self, event: TargetEvent) -> None:
         self.events.append(event)
-
-    def for_uid(self, uid: int) -> list[TargetEvent]:
-        return [e for e in self.events if e.uid == uid]
-
-    def for_thread(self, tid: int) -> list[TargetEvent]:
-        return [e for e in self.events if e.tid == tid]
 
     def first(self, uid: int) -> TargetEvent | None:
         for e in self.events:

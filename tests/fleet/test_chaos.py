@@ -59,7 +59,7 @@ def _drive(engine, frames):
 
 
 def test_fault_stream_is_deterministic_per_endpoint():
-    from repro.fleet.wire import encode_frame
+    from repro.fleet.wire import TraceBatchResponse, encode_frame
     from repro.runtime.protocol import TraceResponse
 
     plan = FaultPlan(
@@ -67,7 +67,12 @@ def test_fault_stream_is_deterministic_per_endpoint():
         crash_rate=0.2, max_crashes_per_agent=2,
     )
     frames = [
-        encode_frame(TraceResponse(label=f"s-{i}", outcome="success", sample=None), i)
+        encode_frame(
+            TraceBatchResponse(
+                responses=(TraceResponse(label=f"s-{i}", outcome="success"),)
+            ),
+            i,
+        )
         for i in range(50)
     ]
     sent_a, counts_a = _drive(plan.engine("agent-007"), frames)

@@ -58,3 +58,27 @@ def test_cli_rejects_unknown_bug_ids_as_usage_errors(capsys):
         main(["--agents", "4", "--bugs", "aget-2,nosuch-1"])
     assert exc.value.code == 2
     assert "nosuch-1" in capsys.readouterr().err
+
+
+def test_digest_check_reruns_the_policy_the_fleet_ran():
+    from repro.fleet.__main__ import _verify_digests
+    from repro.obs import MetricsRegistry
+    from repro.runtime import CollectionPolicy
+
+    config = FleetConfig(
+        agents=3,
+        bug_ids=("aget-2",),
+        reporters_per_bug=1,
+        workers=1,
+        success_traces_wanted=6,
+        stopping="stable-top",
+        collection_deadline_s=120.0,
+    )
+    result = run_fleet(config)
+    assert result.policy == CollectionPolicy(
+        success_traces_wanted=6, stopping="stable-top", deadline_s=120.0
+    )
+    assert len(result.digests) == 1
+    metrics = MetricsRegistry()
+    assert _verify_digests(result, metrics) == []
+    assert metrics.counter("digest_mismatches") == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet.shard import DEFAULT_VNODES, HashRing, ShardRouter
+from repro.fleet.shard import DEFAULT_VNODES, HashRing
 
 
 def _signatures(n: int) -> list[str]:
@@ -13,21 +13,21 @@ def _signatures(n: int) -> list[str]:
 
 def test_placement_is_deterministic_across_instances():
     names = [f"shard-{i}" for i in range(5)]
-    a = ShardRouter(names)
-    b = ShardRouter(reversed(names))  # construction order must not matter
+    a = HashRing(names)
+    b = HashRing(reversed(names))  # construction order must not matter
     sigs = _signatures(1_000)
-    assert [a.route(s) for s in sigs] == [b.route(s) for s in sigs]
+    assert [a.node_for(s) for s in sigs] == [b.node_for(s) for s in sigs]
 
 
 def test_removal_moves_only_the_leavers_keys():
     n = 5
-    router = ShardRouter([f"shard-{i}" for i in range(n)])
+    ring = HashRing([f"shard-{i}" for i in range(n)])
     sigs = _signatures(10_000)
-    before = {s: router.route(s) for s in sigs}
-    router.remove_shard("shard-2")
+    before = {s: ring.node_for(s) for s in sigs}
+    ring.remove("shard-2")
     moved = 0
     for s in sigs:
-        after = router.route(s)
+        after = ring.node_for(s)
         if after != before[s]:
             # consistent hashing: survivors' keys never move
             assert before[s] == "shard-2"
@@ -37,19 +37,21 @@ def test_removal_moves_only_the_leavers_keys():
 
 
 def test_add_back_restores_the_original_placement():
-    router = ShardRouter([f"shard-{i}" for i in range(4)])
+    ring = HashRing([f"shard-{i}" for i in range(4)])
     sigs = _signatures(2_000)
-    before = {s: router.route(s) for s in sigs}
-    router.remove_shard("shard-1")
-    router.add_shard("shard-1")
-    assert {s: router.route(s) for s in sigs} == before
+    before = {s: ring.node_for(s) for s in sigs}
+    ring.remove("shard-1")
+    ring.add("shard-1")
+    assert {s: ring.node_for(s) for s in sigs} == before
 
 
 def test_placement_is_balanced_within_2x_ideal():
     shards = 10
     sigs = _signatures(10_000)
-    router = ShardRouter([f"shard-{i}" for i in range(shards)])
-    groups = router.placement(sigs)
+    ring = HashRing([f"shard-{i}" for i in range(shards)])
+    groups: dict[str, list[str]] = {name: [] for name in ring.nodes}
+    for s in sigs:
+        groups[ring.node_for(s)].append(s)
     ideal = len(sigs) / shards
     assert sum(len(g) for g in groups.values()) == len(sigs)
     for name, keys in groups.items():

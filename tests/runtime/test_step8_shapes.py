@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import TraceSample
-from repro.fleet.wire import decode_frame, encode_frame
+from repro.fleet.wire import TraceBatchResponse, decode_frame, encode_frame
 from repro.runtime.protocol import TraceRequest, TraceResponse
 from repro.runtime.server import CollectionPolicy, ServerStats, _CollectionState
 
@@ -55,7 +55,8 @@ def _shapes(i: int, outcome: str, snapshot: bool) -> dict[str, TraceResponse]:
         return _sample(i, failing) if snapshot else None
 
     in_process = TraceResponse(label, outcome, sample(), captured=snapshot)
-    wire, _ = decode_frame(encode_frame(in_process.shipped()))
+    frame = encode_frame(TraceBatchResponse(responses=(in_process.shipped(),)))
+    (wire,) = decode_frame(frame)[0].responses
     return {
         "old": TraceResponse(label, outcome, sample()),
         "in-process": in_process,
