@@ -47,7 +47,7 @@ class CheckStats:
 
     def as_counters(self, prefix: str = "check_") -> dict[str, int]:
         """The unified ``check_*`` counter vocabulary (see
-        :meth:`repro.obs.MetricsRegistry.absorb_check_stats`)."""
+        :meth:`repro.obs.MetricsRegistry.absorb_stats`)."""
         counters = {
             f"{prefix}cases": self.cases,
             f"{prefix}passed": self.passed,
@@ -167,7 +167,7 @@ def run_check(
         if stats.failed >= max_failures:
             break
     stats.seconds = time.perf_counter() - started
-    resolved.registry.absorb_check_stats(stats)
+    resolved.registry.absorb_stats(stats)
     return stats
 
 

@@ -15,9 +15,6 @@ point                                   payload
 ======================================  =================================
 ``trace_processing.process_snapshot``   ``trace`` (ProcessedTrace)
 ``pipeline.trace``                      ``trace``, ``sample``
-``pipeline.points_to``                  ``analysis``, ``module``,
-                                        ``executed``
-``pipeline.scored``                     ``observations``, ``scored``
 ``pipeline.report``                     ``report``
 ``andersen.solve``                      ``system``, ``result``
 ``statistics.score_patterns``           ``observations``, ``scored``
@@ -36,16 +33,6 @@ from typing import Callable, Iterator
 Observer = Callable[[str, dict], None]
 
 _observer: Observer | None = None
-
-
-def set_observer(fn: Observer | None) -> None:
-    """Install (or with ``None`` clear) the process-wide observer."""
-    global _observer
-    _observer = fn
-
-
-def active() -> bool:
-    return _observer is not None
 
 
 @contextmanager

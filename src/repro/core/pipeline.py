@@ -236,19 +236,12 @@ class LazyDiagnosis:
                     cache=self.analysis_cache, obs=obs,
                 ).run()
             span.set(constraints=analysis.stats.constraints)
-        if not same_scope:
-            checkpoint(
-                "pipeline.points_to",
-                analysis=analysis,
-                module=self.module,
-                executed=executed if scope is not None else None,
-            )
-            if self.analysis_cache is not None:
-                outcome = analysis.stats.extra.get("cache")
-                if outcome == "hit":
-                    self.last_cache_events["analysis_cache_hits"] += 1
-                elif outcome == "miss":
-                    self.last_cache_events["analysis_cache_misses"] += 1
+        if not same_scope and self.analysis_cache is not None:
+            outcome = analysis.stats.extra.get("cache")
+            if outcome == "hit":
+                self.last_cache_events["analysis_cache_hits"] += 1
+            elif outcome == "miss":
+                self.last_cache_events["analysis_cache_misses"] += 1
         close_stage("points_to", stage_start)
         # step 5: type-based ranking
         stage_start = _time.perf_counter()
@@ -328,7 +321,6 @@ class LazyDiagnosis:
             if tracer.enabled:
                 span.set(scored=len(scored), **observation_breakdown(capped))
         close_stage("statistical_diagnosis", stage_start)
-        checkpoint("pipeline.scored", observations=capped, scored=scored)
         obs.registry.merge_counters(self.last_cache_events)
         elapsed = _time.perf_counter() - started
         report = self._build_report(

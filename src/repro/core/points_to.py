@@ -129,7 +129,7 @@ class PointsToAnalysis:
             else:
                 self.result = steensgaard_solve(self.system)
             span.set(**self.result.stats.as_counters())
-        obs.registry.absorb_solver_stats(self.result.stats)
+        obs.registry.absorb_stats(self.result.stats)
         if self.cache is not None and key is not None:
             self.cache.put(key, CachedAnalysis(self.system, self.result))
         self._finish_stats(start)

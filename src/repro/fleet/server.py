@@ -37,7 +37,6 @@ from typing import Callable
 
 from repro.api import SchedulerPolicy
 from repro.core.cache import DiagnosisCaches
-from repro.core.pipeline import PipelineConfig
 from repro.core.report import DiagnosisReport
 from repro.errors import FleetError, WireError
 from repro.fleet.anomaly import EwmaAnomalyDetector
@@ -208,7 +207,6 @@ class FleetServer:
         max_pending: int = 8,
         success_traces_wanted: int = 10,
         start_seed: int = 10_000,
-        config: PipelineConfig | None = None,
         metrics: MetricsRegistry | None = None,
         request_timeout: float = 120.0,
         caches: DiagnosisCaches | None = None,
@@ -231,7 +229,6 @@ class FleetServer:
     ):
         self.host = host
         self.port = port
-        self.config = config or PipelineConfig()
         self.start_seed = start_seed
         # request_timeout bounds one speculative wave end to end (all
         # reroutes included); trace_reply_timeout bounds one endpoint's
@@ -940,7 +937,6 @@ class FleetServer:
         module = self._module(env.bug_id)
         snorlax = SnorlaxServer(
             module,
-            config=self.config,
             policy=self.policy,
             caches=self.caches,
             obs=self.obs,

@@ -69,10 +69,6 @@ class Observability:
             return nullcontext(None)
         return SamplingProfiler(self.profile_interval_s)
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return NULL_OBS
-
 
 NULL_OBS = Observability(
     tracer=NULL_TRACER, registry=NULL_REGISTRY, profile=False

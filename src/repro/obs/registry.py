@@ -5,7 +5,7 @@ counters, gauges, and histograms under one snake_case vocabulary, with
 ``percentile()`` and ``counters_with_prefix()`` everywhere.  The solver
 and cache stats objects (``repro.core.andersen.SolverStats``,
 ``repro.core.cache.CacheStats``) are absorbed via
-:meth:`absorb_solver_stats` / :meth:`absorb_cache_stats` (they keep
+:meth:`absorb_stats` / :meth:`absorb_cache_stats` (they keep
 their own read surface — see their modules); the fleet service, job
 queue, and pipeline stages record here directly.
 
@@ -148,9 +148,6 @@ class MetricsRegistry:
         as_counters = getattr(stats, "as_counters", None)
         if as_counters is not None:
             self.merge_counters(as_counters())
-
-    absorb_solver_stats = absorb_stats
-    absorb_check_stats = absorb_stats
 
     def absorb_cache_stats(self, name: str, stats) -> None:
         """Snapshot one cache's :class:`~repro.core.cache.CacheStats`

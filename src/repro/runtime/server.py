@@ -171,7 +171,6 @@ class _CollectionState:
         self.misses_at_pc = 0
         self.widened_to = 0
         self.stop_rule = stop_rule
-        self.on_sample: Callable[[TraceSample], None] | None = None
         deadline_s = self.policy.deadline_s
         self.deadline = None if deadline_s is None else monotonic() + deadline_s
 
@@ -250,49 +249,9 @@ class _CollectionState:
         sample.label = f"success-{len(self.samples)}"
         self.samples.append(sample)
         server.stats.success_traces += 1
-        if self.on_sample is not None:
-            self.on_sample(sample)
         if self.stop_rule is not None:
             self.stop_rule.observe(self.samples)
         return self.satisfied
-
-
-class _StreamingDecoder:
-    """Starts decoding each sample the moment it is consumed.
-
-    Decoding goes through the shared content-keyed trace cache, so this
-    is pure cache warming: by the time the pipeline's trace-processing
-    stage asks for the same (buffer, tid, period) it is a hit, and
-    decode wall-clock overlapped collection round-trips instead of
-    following them.  Evidence is untouched — a decode error here is
-    swallowed so the pipeline surfaces it with full context.
-    """
-
-    def __init__(self, server: "SnorlaxServer", registry):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._server = server
-        self._registry = registry
-        self._pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="decode")
-
-    def submit(self, sample: TraceSample) -> None:
-        self._pool.submit(self._decode, sample)
-
-    def _decode(self, sample: TraceSample) -> None:
-        server = self._server
-        started = perf_counter()
-        try:
-            for tid, data in sample.buffers.items():
-                server.caches.traces.get_or_decode(
-                    server.module, data, tid, server.config.mtc_period_ns
-                )
-        except Exception:
-            return
-        self._registry.observe("stage_decode", perf_counter() - started)
-
-    def close(self) -> None:
-        # collection ends when its decodes do — that is the overlap
-        self._pool.shutdown(wait=True)
 
 
 class _TopPatternEvaluator:
@@ -302,11 +261,10 @@ class _TopPatternEvaluator:
     Keeps one *quiet* pipeline (``obs=None`` — no spans, no counters;
     the fleet's registry sees only the one final diagnosis) for the
     whole collection, reusing work across evaluations: each sample is
-    decoded — through the server's shared trace cache — and processed
-    once, by the first evaluation that reads it, and the ranking and
-    each sample's patterns stand while the executed scope does.  No
-    decode pool runs beside a stop rule, so with caches on each sample's
-    first reading is observed as ``stage_decode`` in the pool's place:
+    decoded — through the server's trace cache, when it has one — and
+    processed once, by the first evaluation that reads it, and the
+    ranking and each sample's patterns stand while the executed scope
+    does.  Each sample's first reading is observed as ``stage_decode``:
     one value per sample, covering its decode and trace processing.  A
     pure function of the sample prefix: same samples, same answer, on
     any transport.  :meth:`close` drops the pipeline when collection
@@ -317,8 +275,8 @@ class _TopPatternEvaluator:
         self, server: "SnorlaxServer", failing_sample: TraceSample, registry
     ):
         self._failing = failing_sample
+        self._registry = registry
         caches = server.caches
-        self._registry = registry if caches is not None else None
         self._pipeline: LazyDiagnosis | None = LazyDiagnosis(
             server.module,
             server.config,
@@ -334,9 +292,8 @@ class _TopPatternEvaluator:
         except DiagnosisError:
             return None
         finally:
-            if self._registry is not None:
-                for seconds in pipeline.last_new_trace_seconds:
-                    self._registry.observe("stage_decode", seconds)
+            for seconds in pipeline.last_new_trace_seconds:
+                self._registry.observe("stage_decode", seconds)
         if report.root_cause is None:
             return None
         return str(report.root_cause.signature)
@@ -502,17 +459,15 @@ class SnorlaxServer:
         consumed in attempt order through the :class:`_CollectionState`
         policy.  A single-request transport runs waves of one (no
         speculative executions); a batch transport speculates the
-        derived :meth:`_batch_window`.  Two more layers, both
-        evidence-invisible:
+        derived :meth:`_batch_window`.  ``stopping="stable-top"`` ends
+        collection once the top-ranked pattern is stable
+        (``failing_sample`` anchors the evaluation); the stop decision is
+        a pure function of the consumed sample prefix, hence
+        transport-independent.
 
-        * when ``caches`` is set and counting is fixed, every sample
-          starts decoding the moment its response is consumed (a small
-          pool), so decode finishes with collection instead of after it.
-        * ``stopping="stable-top"`` ends collection once the top-ranked
-          pattern is stable (``failing_sample`` anchors the evaluation);
-          the stop decision is a pure function of the consumed sample
-          prefix, hence transport-independent.  Its evaluations read
-          each new sample at once, so they decode it inline, once.
+        Collection starts no thread: each sample is decoded once, on the
+        calling thread, by whichever reads it first — a stop rule's
+        evaluation, or else the diagnosis's trace-processing stage.
         """
         return self._collect(
             send, send_batch, failing_uid, start_seed, failing_sample
@@ -542,12 +497,6 @@ class SnorlaxServer:
                 send = self._traced_transport(send, obs.tracer, cspan)
                 send_batch = lambda requests: [send(r) for r in requests]  # noqa: E731
                 window = lambda state: 1  # noqa: E731
-            decoder = None
-            if self.caches is not None and stop_rule is None:
-                decoder = _StreamingDecoder(self, obs.registry)
-                state.on_sample = decoder.submit
-                if failing_sample is not None:
-                    decoder.submit(failing_sample)
             started = perf_counter()
             try:
                 while not state.done:
@@ -556,8 +505,6 @@ class SnorlaxServer:
                         if state.consume(request, resp):
                             break  # rest of the wave is stale
             finally:
-                if decoder is not None:
-                    decoder.close()
                 if stop_rule is not None:
                     stop_rule.evaluate.close()
             obs.registry.observe("stage_collect", perf_counter() - started)

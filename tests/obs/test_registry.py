@@ -89,10 +89,10 @@ def test_absorb_solver_stats_uses_as_counters():
             return {"solver_propagations": 10, "solver_constraints": 4}
 
     m = MetricsRegistry()
-    m.absorb_solver_stats(FakeStats())
-    m.absorb_solver_stats(FakeStats())  # increments accumulate
+    m.absorb_stats(FakeStats())
+    m.absorb_stats(FakeStats())  # increments accumulate
     assert m.counter("solver_propagations") == 20
-    m.absorb_solver_stats(object())  # no as_counters: silently skipped
+    m.absorb_stats(object())  # no as_counters: silently skipped
 
 
 def test_absorb_cache_stats_sets_totals_not_increments():

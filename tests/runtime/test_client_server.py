@@ -263,17 +263,18 @@ def test_server_caches_shared_across_diagnoses(module, client):
     first = first_result.report
     cold = first_result.cache_events
     assert cold["analysis_cache_misses"] == 1
-    # streaming decode warms the trace cache while collection is still
-    # in flight, so even the cold pipeline run sees only hits
-    assert cold["trace_cache_misses"] == 0
-    assert cold["trace_cache_hits"] > 0
+    # nothing decodes during collection, so the cold pipeline run
+    # decodes every buffer itself
+    assert cold["trace_cache_misses"] > 0
     second_result = server.diagnose(failing, client)
     second = second_result.report
     warm = second_result.cache_events
     # identical evidence: points-to and every decode come from cache
     assert warm["analysis_cache_hits"] == 1
     assert warm["trace_cache_misses"] == 0
-    assert warm["trace_cache_hits"] == cold["trace_cache_hits"]
+    assert warm["trace_cache_hits"] == (
+        cold["trace_cache_hits"] + cold["trace_cache_misses"]
+    )
     assert first.root_cause.signature == second.root_cause.signature
 
 
@@ -328,37 +329,71 @@ def _run_observed(module, client, policy, send_wrapper=None, caches=True):
     return session, obs
 
 
-def test_stop_rule_decodes_inline_and_still_observes_decode(
-    module, client, monkeypatch
-):
-    from repro.runtime import server as runtime_server
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a stop rule must not start the decode pool")
-
-    monkeypatch.setattr(runtime_server, "_StreamingDecoder", no_pool)
+def test_stop_rule_decodes_inline_and_still_observes_decode(module, client):
     policy = CollectionPolicy(stopping="stable-top", adaptive_min_traces=3)
     session, obs = _run_observed(module, client, policy)
     decode = obs.registry.as_dict()["timers"]["stage_decode"]
-    # one value per sample, as the pool records: the failing sample and
-    # each collected one, timed when an evaluation first reads it
+    # one value per sample: the failing sample and each collected one,
+    # timed when an evaluation first reads it
     assert decode["count"] == 1 + len(session.successes)
     # every sample was decoded inline, so the final diagnosis only hits
     assert session.result.cache_events["trace_cache_misses"] == 0
 
 
-def test_stop_rule_without_caches_observes_no_decode(module, client):
+def test_stop_rule_without_caches_still_observes_decode(module, client):
     policy = CollectionPolicy(stopping="stable-top", adaptive_min_traces=3)
-    _session, obs = _run_observed(module, client, policy, caches=False)
-    # no pool would have run, so there is no decode stage to report
-    assert "stage_decode" not in obs.registry.as_dict().get("timers", {})
-
-
-def test_fixed_stopping_keeps_the_decode_pool(module, client):
-    session, obs = _run_observed(module, client, FOUR)
+    session, obs = _run_observed(module, client, policy, caches=False)
+    # the evaluations read each sample first, caches or not
     decode = obs.registry.as_dict()["timers"]["stage_decode"]
-    # the pool decodes the failing sample and every collected one
     assert decode["count"] == 1 + len(session.successes)
+
+
+@pytest.mark.parametrize("transport", ["serial", "batch"])
+@pytest.mark.parametrize("caches", [False, True])
+@pytest.mark.parametrize("stopping", ["fixed", "stable-top"])
+def test_step8_collection_starts_no_thread(
+    module, client, stopping, caches, transport
+):
+    import threading
+
+    from repro.core.cache import DiagnosisCaches
+    from repro.obs import Observability
+
+    failing = client.find_runs(True, 1)[0]
+    obs = Observability()
+    server = SnorlaxServer(
+        module,
+        policy=CollectionPolicy(
+            success_traces_wanted=4, stopping=stopping, adaptive_min_traces=3
+        ),
+        caches=DiagnosisCaches() if caches else None,
+        obs=obs,
+    )
+    before = set(threading.enumerate())
+    started = set()
+
+    def send(req):
+        started.update(set(threading.enumerate()) - before)
+        return server.handle_trace_request(client, req)
+
+    session = server.run_session(
+        server.sample_from_run("failure", failing),
+        failing.failure.failing_uid,
+        5_000,
+        send=send if transport == "serial" else None,
+        send_batch=(lambda reqs: [send(r) for r in reqs])
+        if transport == "batch"
+        else None,
+    )
+    assert session.successes
+    assert not started, [t.name for t in started]
+    timers = obs.registry.as_dict().get("timers", {})
+    if stopping == "fixed":
+        # nothing reads a sample before the diagnosis: its trace
+        # processing decodes them, and no decode stage is observed
+        assert "stage_decode" not in timers
+    else:
+        assert timers["stage_decode"]["count"] == 1 + len(session.successes)
 
 
 def test_trace_request_spans_label_a_sampleless_capture_failing(module, client):
