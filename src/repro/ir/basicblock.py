@@ -27,24 +27,27 @@ class BasicBlock:
         self.uid: int = -1  # assigned by Module.finalize()
 
     def append(self, instr: Instruction) -> Instruction:
-        if self.is_terminated:
+        instrs = self.instructions
+        if instrs and instrs[-1].is_terminator:
             raise IRError(
                 f"block {self.label()} already ends in "
-                f"{self.terminator.opcode}; cannot append {instr.opcode}"
+                f"{instrs[-1].opcode}; cannot append {instr.opcode}"
             )
         instr.parent = self
-        self.instructions.append(instr)
+        instrs.append(instr)
         return instr
 
     @property
     def terminator(self) -> Instruction:
-        if not self.instructions or not self.instructions[-1].is_terminator:
+        instrs = self.instructions
+        if not instrs or not instrs[-1].is_terminator:
             raise IRError(f"block {self.label()} has no terminator")
-        return self.instructions[-1]
+        return instrs[-1]
 
     @property
     def is_terminated(self) -> bool:
-        return bool(self.instructions) and self.instructions[-1].is_terminator
+        instrs = self.instructions
+        return bool(instrs) and instrs[-1].is_terminator
 
     def successors(self) -> list["BasicBlock"]:
         term = self.terminator

@@ -368,7 +368,9 @@ class IRBuilder:
     # -- internals -----------------------------------------------------------
 
     def _emit(self, instr: Instruction) -> Instruction:
-        block = self._current()
+        block = self.block
+        if block is None:
+            raise IRError("builder has no insertion point; call begin_function")
         block.append(instr)
         if self._loc is not None:
             instr.loc = self._loc

@@ -76,9 +76,12 @@ class Instruction(Value):
     __slots__ = ("operands", "parent", "uid", "block_index", "loc")
 
     opcode: str = "<abstract>"
+    # True on the block-ending instructions: br, cbr and ret
+    is_terminator: bool = False
 
     def __init__(self, ty: Type, operands: Sequence[Value], name: str = ""):
-        super().__init__(ty, name)
+        self.ty = ty  # Value's two fields, set here to save a call per instruction
+        self.name = name
         self.operands: list[Value] = list(operands)
         self.parent: "BasicBlock | None" = None
         self.uid: int = -1  # assigned by Module.finalize()
@@ -86,10 +89,6 @@ class Instruction(Value):
         self.loc: SourceLoc | None = None
 
     # -- classification helpers used throughout the analyses ------------
-
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, CondBr, Ret))
 
     @property
     def is_memory_read(self) -> bool:
@@ -364,6 +363,7 @@ class Br(Instruction):
     __slots__ = ("target",)
 
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock"):
         super().__init__(VOID, [])
@@ -379,6 +379,7 @@ class CondBr(Instruction):
     __slots__ = ("then_block", "else_block")
 
     opcode = "cbr"
+    is_terminator = True
 
     def __init__(self, cond: Value, then_block: "BasicBlock", else_block: "BasicBlock"):
         if cond.ty != I1:
@@ -401,6 +402,7 @@ class Ret(Instruction):
     __slots__ = ()
 
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Value | None = None):
         super().__init__(VOID, [value] if value is not None else [])

@@ -108,15 +108,15 @@ class Module:
             fn._allocas = None
             for block in fn.blocks:
                 block.uid = next_uid
+                body = block.instructions
                 blocks.append(block)
+                blocks.extend([None] * len(body))
                 instrs.append(None)
-                next_uid += 1
-                for index, instr in enumerate(block.instructions):
-                    instr.uid = next_uid
+                instrs.extend(body)
+                for index, instr in enumerate(body):
+                    instr.uid = next_uid = next_uid + 1
                     instr.block_index = index
-                    blocks.append(None)
-                    instrs.append(instr)
-                    next_uid += 1
+                next_uid += 1
         self._instr_by_uid = instrs
         self._block_by_uid = blocks
         self.finalized = True

@@ -41,7 +41,8 @@ class Constant(Value):
     __slots__ = ("value",)
 
     def __init__(self, ty: Type, value: int | float):
-        super().__init__(ty)
+        self.ty = ty  # Value's two fields, set here to save a call per constant
+        self.name = ""
         if isinstance(ty, IntType) and not isinstance(value, int):
             raise IRTypeError(f"integer constant with non-int value {value!r}")
         self.value = value
